@@ -27,7 +27,7 @@ from .identities import (
 )
 from .partitions import format_shape, parse_shape
 from .paths import PathKind, count_paths, enumerate_paths
-from .render import TABLES, render_report, render_table
+from .render import TABLES, render_certificate, render_report, render_table
 from .search import build_pool, find_equal_sum_pairs, scan_even_ladders
 
 OUT_DIR_ENV = "SYTKNAP_OUT_DIR"
@@ -60,51 +60,31 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _require(args, names: tuple[str, ...], family: str) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"verify --id {family} needs {' '.join(missing)}")
+def _knapsack_reports(args) -> list:
+    ks = range(args.n // 2 + 1) if args.k is None else [args.k]
+    return [r for k in ks for r in verify_knapsack(args.n, k)]
 
 
-def _verify_reports(args) -> list:
-    family = args.id
-    if family == "knapsack":
-        _require(args, ("n",), family)
-        if args.k is None:
-            reports = []
-            for k in range(args.n // 2 + 1):
-                reports.extend(verify_knapsack(args.n, k))
-            return reports
-        return list(verify_knapsack(args.n, args.k))
-    if family == "riordan":
-        _require(args, ("n",), family)
-        return verify_riordan(args.n)
-    if family == "ladder":
-        _require(args, ("d", "k", "m"), family)
-        return [verify_ladder(args.d, args.k, args.m)]
-    if family == "analytic":
-        _require(args, ("d", "k", "m"), family)
-        return [verify_analytic_ladder(args.d, args.k, args.m)]
-    if family == "expansion":
-        _require(args, ("n", "k"), family)
-        return [verify_expansion(args.n, args.k)]
-    if family == "boundary":
-        _require(args, ("k", "m"), family)
-        return [verify_boundary(args.k, args.m)]
-    if family == "hookwrap":
-        _require(args, ("mu", "k"), family)
-        return [verify_hook_wrap(parse_shape(args.mu), args.k)]
-    if family == "catalan-pair":
-        _require(args, ("m",), family)
-        return [verify_catalan_pair(args.m)]
-    if family == "branch":
-        _require(args, ("n", "k", "parity"), family)
-        return [verify_branch_rows(args.n, args.k, args.parity == "same")]
-    raise ValueError(f"unknown identity family {family!r}")
+# family -> (required options, report builder); the order is the --help order
+VERIFIERS = {
+    "knapsack": (("n",), _knapsack_reports),
+    "riordan": (("n",), lambda a: verify_riordan(a.n)),
+    "ladder": (("d", "k", "m"), lambda a: [verify_ladder(a.d, a.k, a.m)]),
+    "analytic": (("d", "k", "m"), lambda a: [verify_analytic_ladder(a.d, a.k, a.m)]),
+    "expansion": (("n", "k"), lambda a: [verify_expansion(a.n, a.k)]),
+    "boundary": (("k", "m"), lambda a: [verify_boundary(a.k, a.m)]),
+    "hookwrap": (("mu", "k"), lambda a: [verify_hook_wrap(parse_shape(a.mu), a.k)]),
+    "catalan-pair": (("m",), lambda a: [verify_catalan_pair(a.m)]),
+    "branch": (("n", "k", "parity"), lambda a: [verify_branch_rows(a.n, a.k, a.parity == "same")]),
+}
 
 
 def _cmd_verify(args) -> int:
-    reports = _verify_reports(args)
+    required, build = VERIFIERS[args.id]
+    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"verify --id {args.id} needs {' '.join(missing)}")
+    reports = build(args)
     if args.format == "json":
         text = json.dumps([report_to_json(r) for r in reports], indent=2) + "\n"
     else:
@@ -130,12 +110,7 @@ def _cmd_certify(args) -> int:
     if args.format == "json":
         text = json.dumps([r.to_json() for r in reports], indent=2) + "\n"
     else:
-        lines = []
-        for r in reports:
-            lines.append(f"certify {r.name} -> {'PASS' if r.passed else 'FAIL'}")
-            for label, diff in r.checks:
-                lines.append(f"  {label}: difference = {diff}")
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(render_certificate(r) for r in reports) + "\n"
     _emit(text, args.out)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -218,21 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("verify", help="verify one identity instance or sweep")
-    p.add_argument(
-        "--id",
-        required=True,
-        choices=(
-            "knapsack",
-            "riordan",
-            "ladder",
-            "analytic",
-            "expansion",
-            "boundary",
-            "hookwrap",
-            "catalan-pair",
-            "branch",
-        ),
-    )
+    p.add_argument("--id", required=True, choices=VERIFIERS)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)

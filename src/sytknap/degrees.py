@@ -5,7 +5,6 @@ Everything returns exact Python ints; degrees overflow 64 bits well before
 the sweep sizes used here, so big integers are mandatory throughout.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -38,28 +37,61 @@ def degree_uncached(p) -> int:
     return _degree.__wrapped__(make_partition(p))
 
 
+def _three_row_spec(x, y, z):
+    """The three-row closed form (x+y+z)! (x-y+1)(x-z+2)(y-z+1) / ((x+2)! (y+1)! z!)
+    as signed factorial arguments (only the first in the numerator), numerator
+    and denominator.  Only + - * are used, so the one spec serves ints in
+    _evaluate and symbolic polynomials in certificates."""
+    return (
+        [(x + y + z, 1), (x + 2, -1), (y + 1, -1), (z, -1)],
+        (x - y + 1) * (x - z + 2) * (y - z + 1),
+        1,
+    )
+
+
+def _fat_hook_spec(x, y, r):
+    """The fat-hook closed form (x+y+r)! (x-y+1) / (x! (y-1)! r! (x+r+1)(y+r)),
+    in the same shape as _three_row_spec."""
+    return (
+        [(x + y + r, 1), (x, -1), (y - 1, -1), (r, -1)],
+        x - y + 1,
+        (x + r + 1) * (y + r),
+    )
+
+
+def _evaluate(spec, *args: int) -> int:
+    """A closed-form spec at integer arguments.  The leading factorial must
+    be defined and the denominator nonzero; a reciprocal factorial of a
+    negative integer counts as zero; the division must be exact."""
+    factorials, num, den = spec(*args)
+    (total, _), *reciprocals = factorials
+    if total < 0:
+        raise ValueError(f"total {total} < 0: leading factorial undefined")
+    if den == 0:
+        raise ValueError(f"singular denominator at {args}")
+    if any(arg < 0 for arg, _ in reciprocals):
+        return 0
+    num *= factorial(total)
+    for arg, _ in reciprocals:
+        den *= factorial(arg)
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"inexact division in {spec.__name__} at {args}")
+    return q
+
+
 def degree_fat_hook(a: int, b: int, t: int) -> int:
     """Closed form for shapes (a, b, 1^t), a >= b >= 1, t >= 0."""
     if not (a >= b >= 1 and t >= 0):
         raise ValueError(f"need a >= b >= 1 and t >= 0, got {(a, b, t)}")
-    num = factorial(a + b + t) * (a - b + 1)
-    den = (a + t + 1) * (b + t) * factorial(a) * factorial(b - 1) * factorial(t)
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"inexact division in fat-hook form at {(a, b, t)}")
-    return q
+    return _evaluate(_fat_hook_spec, a, b, t)
 
 
 def degree_three_row(r: int, s: int, t: int) -> int:
     """Closed form for shapes (r, s, t), r >= s >= t >= 0."""
     if not (r >= s >= t >= 0):
         raise ValueError(f"need r >= s >= t >= 0, got {(r, s, t)}")
-    num = factorial(r + s + t) * (r - s + 1) * (r - t + 2) * (s - t + 1)
-    den = factorial(r + 2) * factorial(s + 1) * factorial(t)
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"inexact division in three-row form at {(r, s, t)}")
-    return q
+    return _evaluate(_three_row_spec, r, s, t)
 
 
 def syt_enumerate(p, bound: int = 14) -> int:
@@ -101,16 +133,7 @@ def three_row_value(x: int, y: int, z: int) -> int:
     vanishes whenever x <= -3, y <= -2 or z <= -1.  On partitions (x, y, z)
     this equals degree((x, y, z)).  Requires x + y + z >= 0.
     """
-    total = x + y + z
-    if total < 0:
-        raise ValueError(f"total {total} < 0: leading factorial undefined")
-    if x + 2 < 0 or y + 1 < 0 or z < 0:
-        return 0
-    num = factorial(total) * (x - y + 1) * (x - z + 2) * (y - z + 1)
-    val = Fraction(num, factorial(x + 2) * factorial(y + 1) * factorial(z))
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integer three-row value at {(x, y, z)}")
-    return int(val)
+    return _evaluate(_three_row_spec, x, y, z)
 
 
 def fat_hook_value(x: int, y: int, r: int) -> int:
@@ -120,16 +143,4 @@ def fat_hook_value(x: int, y: int, r: int) -> int:
     On shapes (x, y, 1^r) this equals degree((x, y, 1^r)).  The removable
     singularities x + r + 1 = 0 and y + r = 0 are excluded.
     """
-    total = x + y + r
-    if total < 0:
-        raise ValueError(f"total {total} < 0: leading factorial undefined")
-    if x + r + 1 == 0 or y + r == 0:
-        raise ValueError(f"singular denominator at {(x, y, r)}")
-    if x < 0 or y - 1 < 0 or r < 0:
-        return 0
-    num = factorial(total) * (x - y + 1)
-    den = factorial(x) * factorial(y - 1) * factorial(r) * (x + r + 1) * (y + r)
-    val = Fraction(num, den)
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integer fat-hook value at {(x, y, r)}")
-    return int(val)
+    return _evaluate(_fat_hook_spec, x, y, r)

@@ -116,12 +116,8 @@ def _partition_terms(side: str, shapes, sign: int = 1) -> list[Term]:
 def _fat_hook_terms(side: str, triples) -> list[Term]:
     """Degree terms for fat-hook triples (a, b, t); non-partition shapes are
     omitted, matching how the identities drop vanishing boundary terms."""
-    terms = []
-    for a, b, t in triples:
-        shape = fat_hook(a, b, t)
-        if shape is not None:
-            terms.append(Term(side, 1, shape, degree(shape)))
-    return terms
+    shapes = [fat_hook(a, b, t) for a, b, t in triples]
+    return _partition_terms(side, [s for s in shapes if s is not None])
 
 
 def swapped(n: int, k: int) -> bool:

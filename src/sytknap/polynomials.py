@@ -107,14 +107,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.coeffs)
-
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return next(iter(self.coeffs.values()), 0)
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
 

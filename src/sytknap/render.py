@@ -1,5 +1,7 @@
-"""Text rendering for reports and the reproducible reference tables."""
+"""Text rendering for reports, certificates and the reproducible reference
+tables."""
 
+from .certificates import CertificateReport
 from .identities import (
     Report,
     Term,
@@ -51,6 +53,12 @@ def render_report(report: Report) -> str:
         lines.append(f"  note: {report.note}")
     for label, ok in report.checks.items():
         lines.append(f"  check {label}: {'ok' if ok else 'FAILED'}")
+    return "\n".join(lines)
+
+
+def render_certificate(report: CertificateReport) -> str:
+    lines = [f"certify {report.name} -> {'PASS' if report.passed else 'FAIL'}"]
+    lines += [f"  {label}: difference = {diff}" for label, diff in report.checks]
     return "\n".join(lines)
 
 

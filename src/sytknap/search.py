@@ -5,8 +5,8 @@ a found pair is interesting."""
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .degrees import degree, fat_hook_value
-from .identities import Report, Term
+from .degrees import degree
+from .identities import Report, Term, ladder_sum_terms, verify_knapsack
 from .partitions import Partition, fat_hook, format_shape, partitions
 
 
@@ -83,8 +83,6 @@ def _known_knapsack_instances(n: int) -> dict[frozenset, str]:
     """Unordered side-pairs of every fixed-second-part identity at size n,
     keyed for rediscovery labeling.  Instances whose two sides share a
     partition cannot appear as disjoint pairs and are skipped."""
-    from .identities import verify_knapsack
-
     known = {}
     for k in range(n // 2 + 1):
         for rep in verify_knapsack(n, k):
@@ -207,10 +205,7 @@ def scan_even_ladders(k: int, m: int, d_max: int) -> list[ScanRow]:
         three_part_degrees.setdefault(degree(p), []).append(p)
     rows = []
     for d in range(0, d_max + 1, 2):
-        value = 0
-        for j in range(d):
-            shape = fat_hook(k + j, k + j, m - 2 * j)
-            value += degree(shape) if shape is not None else fat_hook_value(k + j, k + j, m - 2 * j)
+        value = sum(t.value for t in ladder_sum_terms(k, m, d))
         probe_shape = fat_hook(k + d, k, m - d) if d else None
         probe_value = degree(probe_shape) if probe_shape is not None else None
         residual = value - probe_value if probe_value is not None else None

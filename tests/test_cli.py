@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import assert_report_json, read_golden
-from sytknap.cli import main
+from sytknap.cli import VERIFIERS, main
 
 
 def run_cli(capsys, *args):
@@ -85,6 +85,32 @@ class TestVerifyCommand:
             for report in json.loads(out):
                 assert_report_json(report)
                 assert report["pass"]
+
+
+class TestVerifierRegistry:
+    VALUES = {"n": "12", "k": "3", "m": "4", "d": "1", "mu": "3,2", "parity": "same"}
+
+    @pytest.mark.parametrize("family", VERIFIERS)
+    def test_each_required_option_is_checked(self, capsys, family):
+        required, _ = VERIFIERS[family]
+        for dropped in required:
+            argv = ["verify", "--id", family]
+            for name in required:
+                if name != dropped:
+                    argv += [f"--{name}", self.VALUES[name]]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == f"error: verify --id {family} needs --{dropped}\n"
+
+    def test_id_choices_are_the_registry_keys(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "  --id {" + ",".join(VERIFIERS) + "}\n" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--id", "nope"])
+        assert exc.value.code == 2
 
 
 class TestTableCommand:

@@ -6,13 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sytknap import certificates, degrees
 from sytknap.certificates import (
     certify_all,
+    certify_argument_rotation,
+    certify_boundary_merge,
     certify_three_to_two,
     fat_hook_form,
     three_row_form,
 )
-from sytknap.degrees import degree, three_row_value
+from sytknap.degrees import (
+    degree,
+    degree_fat_hook,
+    degree_three_row,
+    fat_hook_value,
+    syt_enumerate,
+    three_row_value,
+)
 from sytknap.partitions import fat_hook
 from sytknap.polynomials import (
     FactorialMismatch,
@@ -292,3 +302,68 @@ class TestCertificateNumericConsistency:
         assert three_row_value(4, 8, 8) + three_row_value(6, 8, 6) == 0
         # k=5, m=3: the single analytic summand vanishes outright
         assert three_row_value(3, 5, 5) == 0
+
+
+class TestOneSpecPerClosedForm:
+    """The integer, partition and symbolic evaluators share one spec per
+    closed form; the hook product and enumeration stay independent of it."""
+
+    def test_three_row_symbolic_matches_integer(self):
+        x, y, z = poly_ring("x", "y", "z")
+        form = three_row_form(x, y, z)
+        for r in range(9):
+            for s in range(r + 1):
+                for t in range(s + 1):
+                    value = form.evaluate({"x": r, "y": s, "z": t})
+                    assert value == three_row_value(r, s, t) == degree_three_row(r, s, t)
+                    assert value == degree((r, s, t))
+
+    def test_fat_hook_symbolic_matches_integer(self):
+        x, y, r = poly_ring("x", "y", "r")
+        form = fat_hook_form(x, y, r)
+        for a in range(1, 9):
+            for b in range(1, a + 1):
+                for t in range(9):
+                    value = form.evaluate({"x": a, "y": b, "r": t})
+                    assert value == fat_hook_value(a, b, t) == degree_fat_hook(a, b, t)
+                    assert value == degree(fat_hook(a, b, t))
+
+    @pytest.mark.parametrize(
+        "spec_name, typo, closed_form, shape, certificate",
+        [
+            (
+                "_three_row_spec",
+                # (x-z+2) mistyped as (x-z+3)
+                lambda x, y, z: (
+                    [(x + y + z, 1), (x + 2, -1), (y + 1, -1), (z, -1)],
+                    (x - y + 1) * (x - z + 3) * (y - z + 1),
+                    1,
+                ),
+                degree_three_row,
+                (3, 2, 1),
+                certify_argument_rotation,
+            ),
+            (
+                "_fat_hook_spec",
+                # (x-y+1) mistyped as (x-y+2)
+                lambda x, y, r: (
+                    [(x + y + r, 1), (x, -1), (y - 1, -1), (r, -1)],
+                    x - y + 2,
+                    (x + r + 1) * (y + r),
+                ),
+                degree_fat_hook,
+                (3, 1, 1),
+                certify_boundary_merge,
+            ),
+        ],
+    )
+    def test_wrong_spec_is_caught_by_the_oracles(
+        self, monkeypatch, spec_name, typo, closed_form, shape, certificate
+    ):
+        for module in (degrees, certificates):
+            monkeypatch.setattr(module, spec_name, typo)
+        wrong = closed_form(*shape)
+        assert wrong != degree(shape)
+        assert wrong != syt_enumerate(shape)
+        assert degree(shape) == syt_enumerate(shape)
+        assert certificate().passed is False
