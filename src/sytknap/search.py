@@ -2,8 +2,8 @@
 scan.  Output is ranked data for a human to read; nothing here asserts that
 a found pair is interesting."""
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, replace
+from itertools import combinations, product
 
 from .degrees import degree
 from .identities import Report, Term, ladder_sum_terms, verify_knapsack
@@ -74,9 +74,20 @@ class FoundIdentity:
 
 @dataclass
 class SearchResult:
+    """Ranked pairs and how far the search got.
+
+    stopped_by names the budget that cut the run short: "max_results" when
+    more pairs existed than were kept, otherwise "max_evals" when subset
+    enumeration was cut, otherwise None.
+    """
+
     pairs: list[FoundIdentity]
     subsets_enumerated: int
-    truncated: bool = False
+    stopped_by: str | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.stopped_by is not None
 
 
 def _known_knapsack_instances(n: int) -> dict[frozenset, str]:
@@ -105,67 +116,128 @@ def find_equal_sum_pairs(
     members per side) with equal degree sums, deduplicated up to swapping
     sides.
 
-    Pairs are produced in ascending total-term-count order (shortest
-    identities first), then by sum and shapes.  Enumeration stops at
-    max_evals subsets, and emission at max_results pairs; either cutoff sets
-    the truncated flag and returns the partial, still-ranked results.
-    """
-    members = pool.members
-    by_sum: dict[int, list[tuple[int, ...]]] = {}
-    enumerated = 0
-    truncated = False
-    for size in range(1, min(max_side, len(members)) + 1):
-        if truncated:
-            break
-        for combo in combinations(range(len(members)), size):
-            enumerated += 1
-            if enumerated > max_evals:
-                truncated = True
-                break
-            total = 0
-            for i in combo:
-                total += members[i][1]
-            by_sum.setdefault(total, []).append(combo)
+    Pairs are ranked by total term count t = |left| + |right| (shortest
+    identities first), then by sum, then by the members' index tuples, left
+    before right; the left side is the smaller one, or the lexicographically
+    first when both have the same size.
 
-    raw: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
-    for total in sorted(by_sum):
-        for a, b in combinations(by_sum[total], 2):
-            if not set(a) & set(b):
-                raw.append((len(a) + len(b), total, a, b))
-    # shortest identities first; index tuples give a deterministic tie-break
-    raw.sort()
-    if max_results is not None and len(raw) > max_results:
-        raw = raw[:max_results]
-        truncated = True
-    # members are sorted descending, so index combos map to lex-descending
-    # shape lists as-is
-    pairs = [
-        FoundIdentity(
-            pool.n,
-            tuple(members[i][0] for i in a),
-            tuple(members[i][0] for i in b),
-            total,
-        )
-        for _, total, a, b in raw
-    ]
+    The search runs level by level in t and builds the size-s subsets only
+    when level s + 1 first needs them.  Two budgets stop it early and return
+    the partial, still-ranked results:
+
+    - max_evals caps the subsets enumerated, in itertools.combinations
+      order by size; pairs among the subsets enumerated before the cap are
+      still emitted.
+    - max_results caps the pairs kept (None: no cap).  The search stops as
+      soon as one more pair exists, so larger subsets may never be built.
+
+    subsets_enumerated counts the subsets built before the stop (one more
+    than max_evals when that cap cut enumeration).  stopped_by names the
+    budget that cut the output, with max_results taking precedence.
+    """
+    if max_side < 1:
+        raise ValueError(f"need max_side >= 1, got {max_side}")
+    if max_evals < 0:
+        raise ValueError(f"need max_evals >= 0, got {max_evals}")
+    if max_results is not None and max_results < 0:
+        raise ValueError(f"need max_results >= 0, got {max_results}")
+    members = pool.members
+    values = [value for _, value in members]
+    top = min(max_side, len(members))
+    indexes: list[dict[int, list[int]]] = [{}]  # indexes[s]: sum -> size-s bitmasks
+    # (sum, bitmask, last member) of each subset one smaller than the largest
+    # indexed, in itertools.combinations order
+    frontier = [(0, 0, -1)]
+    enumerated = 0
+    evals_hit = False
+    stopped_by = None
+    sides = _Sides(shape for shape, _ in members)
+    pairs: list[FoundIdentity] = []
+    for t in range(2, 2 * top + 1):
+        if len(indexes) <= min(t - 1, top) and not evals_hit:
+            if len(indexes) > 1:
+                frontier = list(_extend(frontier, values))
+            index = {}
+            for total, mask, _ in _extend(frontier, values):
+                enumerated += 1
+                if enumerated > max_evals:
+                    evals_hit = True
+                    break
+                index.setdefault(total, []).append(mask)
+            indexes.append(index)
+        for total, chunk in _level_chunks(indexes, t, sides):
+            if max_results is not None and len(pairs) + len(chunk) > max_results:
+                del chunk[max_results - len(pairs):]
+                stopped_by = "max_results"
+            pairs += [FoundIdentity(pool.n, a[1], b[1], total) for a, b in chunk]
+            if stopped_by:
+                break
+        if stopped_by:
+            break
+    if stopped_by is None and evals_hit:
+        stopped_by = "max_evals"
     _label_rediscoveries(pool.n, pairs)
-    return SearchResult(pairs, enumerated, truncated)
+    return SearchResult(pairs, enumerated, stopped_by)
+
+
+def _extend(frontier, values):
+    """Each subset one member larger than the frontier's, in
+    itertools.combinations order: add every member past a subset's last."""
+    m = len(values)
+    for total, mask, last in frontier:
+        for j in range(last + 1, m):
+            yield total + values[j], mask | 1 << j, j
+
+
+def _level_chunks(indexes, t, sides):
+    """The pairs of level t grouped by ascending sum, each group sorted by
+    the sides' index tuples.  Level t joins the size-a and size-(t - a) sum
+    indexes for every a <= t - a that has been built."""
+    smallest = max(1, t - len(indexes) + 1)  # the larger side must be built
+    splits = [(indexes[a], indexes[t - a]) for a in range(smallest, t // 2 + 1)]
+    common = set().union(*(xs.keys() & ys.keys() for xs, ys in splits))
+    for total in sorted(common):
+        chunk = []
+        for xs, ys in splits:
+            left, right = xs.get(total), ys.get(total)
+            if left is None or right is None:
+                continue
+            candidates = combinations(left, 2) if xs is ys else product(left, right)
+            chunk += [(sides[x], sides[y]) for x, y in candidates if not x & y]
+        if chunk:
+            chunk.sort()
+            yield total, chunk
+
+
+class _Sides(dict):
+    """Bitmask -> (member indexes, member shapes), decoded once per search.
+    Members are sorted descending, so each shape tuple is lex-descending."""
+
+    def __init__(self, shapes):
+        super().__init__()
+        self.shapes = tuple(shapes)
+
+    def __missing__(self, mask: int) -> tuple[tuple[int, ...], tuple[Partition, ...]]:
+        indexes = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            indexes.append(low.bit_length() - 1)
+            rest ^= low
+        self[mask] = side = (tuple(indexes), tuple(map(self.shapes.__getitem__, indexes)))
+        return side
 
 
 def _label_rediscoveries(n: int, pairs: list[FoundIdentity]) -> None:
-    """Mark pairs that coincide with a fixed-second-part identity instance."""
-    index: dict[tuple, int] = {}
+    """Mark pairs that coincide with a fixed-second-part identity instance.
+    Only pairs whose sum is the sum of some instance are looked up."""
+    known = _known_knapsack_instances(n)
+    totals = {sum(degree(s) for s in next(iter(key))) for key in known}
     for i, p in enumerate(pairs):
-        index[(frozenset(p.left), frozenset(p.right))] = i
-    for key, label in _known_knapsack_instances(n).items():
-        left, right = tuple(key)
-        for orient in ((left, right), (right, left)):
-            i = index.get(orient)
-            if i is not None:
-                pairs[i] = FoundIdentity(
-                    n, pairs[i].left, pairs[i].right, pairs[i].total,
-                    f"rediscovers {label}",
-                )
+        if p.total in totals:
+            label = known.get(frozenset((frozenset(p.left), frozenset(p.right))))
+            if label is not None:
+                pairs[i] = replace(p, label=f"rediscovers {label}")
 
 
 @dataclass

@@ -168,6 +168,16 @@ class TestSearchCommand:
         _, out2, _ = run_cli(capsys, "search", "--n", "10", "--max-side", "3")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "option, value, name",
+        [("--max-side", "0", "max_side"), ("--max-side", "-3", "max_side"), ("--max-evals", "-1", "max_evals")],
+    )
+    def test_bad_budget_is_usage_error(self, capsys, option, value, name):
+        code, out, err = run_cli(capsys, "search", "--n", "6", option, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and name in err
+        assert "Traceback" not in err
+
 
 class TestScanCommand:
     def test_csv(self, capsys):

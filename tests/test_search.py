@@ -1,7 +1,10 @@
+from itertools import chain, combinations
+
 import pytest
 
 from sytknap.degrees import degree
 from sytknap.search import (
+    _known_knapsack_instances,
     build_pool,
     find_equal_sum_pairs,
     scan_even_ladders,
@@ -74,6 +77,99 @@ class TestFindPairs:
         a = find_equal_sum_pairs(build_pool(9), max_side=3)
         b = find_equal_sum_pairs(build_pool(9), max_side=3)
         assert a.pairs == b.pairs
+
+
+def reference_search(pool, max_side, max_evals=10_000_000, max_results=50_000):
+    """The sort-everything join: index every subset up to max_side members,
+    pair every equal-sum bucket, sort all pairs, then cut.  Returns
+    ((left, right, total) triples, subsets enumerated, stopped_by)."""
+    members, by_sum, enumerated, stopped_by = pool.members, {}, 0, None
+    sizes = range(1, min(max_side, len(members)) + 1)
+    for combo in chain.from_iterable(combinations(range(len(members)), s) for s in sizes):
+        enumerated += 1
+        if enumerated > max_evals:
+            stopped_by = "max_evals"
+            break
+        by_sum.setdefault(sum(members[i][1] for i in combo), []).append(combo)
+    raw = sorted(
+        (len(a) + len(b), total, a, b)
+        for total, bucket in by_sum.items()
+        for a, b in combinations(bucket, 2)
+        if not set(a) & set(b)
+    )
+    if max_results is not None and len(raw) > max_results:
+        raw, stopped_by = raw[:max_results], "max_results"
+    shapes = [shape for shape, _ in members]
+    triples = [(tuple(shapes[i] for i in a), tuple(shapes[i] for i in b), total) for _, total, a, b in raw]
+    return triples, enumerated, stopped_by
+
+
+def assert_matches_reference(pool, max_side, **caps):
+    res = find_equal_sum_pairs(pool, max_side, **caps)
+    triples, enumerated, stopped_by = reference_search(pool, max_side, **caps)
+    assert [(p.left, p.right, p.total) for p in res.pairs] == triples
+    assert res.stopped_by == stopped_by
+    assert res.truncated == (stopped_by is not None)
+    if stopped_by != "max_results":
+        assert res.subsets_enumerated == enumerated
+    else:
+        assert res.subsets_enumerated <= enumerated
+    known = _known_knapsack_instances(pool.n)
+    for p in res.pairs:
+        label = known.get(frozenset((frozenset(p.left), frozenset(p.right))))
+        assert p.label == (f"rediscovers {label}" if label else "")
+    return res
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("max_side", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_uncapped(self, n, max_side):
+        assert_matches_reference(build_pool(n), max_side)
+
+    @pytest.mark.parametrize("n, max_side", [(6, 2), (9, 3), (10, 4)])
+    def test_result_cap_edges(self, n, max_side):
+        pool = build_pool(n)
+        count = len(find_equal_sum_pairs(pool, max_side, max_results=None).pairs)
+        for cap in (0, 1, count - 1, count, count + 1):
+            res = assert_matches_reference(pool, max_side, max_results=cap)
+            assert res.truncated == (cap < count)
+
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_eval_cap_inside_a_size(self, n):
+        pool = build_pool(n)
+        m = len(pool.members)
+        two = m + m * (m - 1) // 2  # subsets of sizes 1 and 2
+        for max_evals in (0, 1, m - 1, m, m + 7, two, two + 1, two + 100):
+            for max_results in (None, 1, 40, 500):
+                assert_matches_reference(pool, 4, max_evals=max_evals, max_results=max_results)
+
+    def test_eval_cap_at_the_last_subset(self):
+        pool = build_pool(8)
+        full = find_equal_sum_pairs(pool, 3)
+        short = assert_matches_reference(pool, 3, max_evals=full.subsets_enumerated - 1)
+        assert short.stopped_by == "max_evals"
+        exact = assert_matches_reference(pool, 3, max_evals=full.subsets_enumerated)
+        assert exact.stopped_by is None and exact.pairs == full.pairs
+
+
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "caps", [{"max_side": 0}, {"max_side": -1}, {"max_evals": -1}, {"max_results": -1}]
+    )
+    def test_negative_or_empty_budget_rejected(self, caps):
+        with pytest.raises(ValueError):
+            find_equal_sum_pairs(build_pool(6), **{"max_side": 3, **caps})
+
+    def test_readme_example_stops_at_the_result_cap(self):
+        # 28 members; 1683217 = C(28,1) + ... + C(28,7): the cap fills at
+        # level 8 (1 + 7 members), so no size-8 subset is built.
+        pool = build_pool(12)
+        assert len(pool.members) == 28
+        res = find_equal_sum_pairs(pool, max_side=8)
+        assert len(res.pairs) == 50_000 and res.truncated
+        assert res.stopped_by == "max_results"
+        assert res.subsets_enumerated == 1683217
 
 
 class TestScan:
