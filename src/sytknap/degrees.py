@@ -6,20 +6,31 @@ the sweep sizes used here, so big integers are mandatory throughout.
 """
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 
 from .partitions import Partition, conjugate, make_partition
 
 
 @lru_cache(maxsize=None)
 def _degree(p: Partition) -> int:
+    """n! over the product of all hook lengths (Frame, Robinson and Thrall).
+
+    The product is taken by blocks: in row i the cells j..end-1 whose
+    columns share one length c (end = p[c-1]) have consecutive hook lengths
+    row+c-i-j-1 down to row+c-i-end, so the block contributes one falling
+    factorial.  A row meets one block per distinct part at or below it.
+    """
     if not p:
         return 1
     prod = 1
     conj = conjugate(p)
     for i, row in enumerate(p):
-        for j in range(row):
-            prod *= row + conj[j] - i - j - 1
+        j = 0
+        while j < row:
+            c = conj[j]
+            end = p[c - 1]
+            prod *= perm(row + c - i - j - 1, end - j)
+            j = end
     q, r = divmod(factorial(sum(p)), prod)
     if r:
         raise ArithmeticError(f"hook product does not divide n! for {p}")

@@ -110,7 +110,9 @@ def _term_to_json(t: Term) -> dict:
 
 
 def _partition_terms(side: str, shapes, sign: int = 1) -> list[Term]:
-    return [Term(side, sign, make_partition(s), degree(s)) for s in shapes]
+    """Degree terms for shapes that are already partitions (canonical
+    tuples); degree() validates each one."""
+    return [Term(side, sign, s, degree(s)) for s in shapes]
 
 
 def _fat_hook_terms(side: str, triples) -> list[Term]:

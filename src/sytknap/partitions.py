@@ -8,6 +8,9 @@ descending) orderings so downstream reports are byte-stable.
 
 Partition = tuple[int, ...]
 
+# parse_shape refuses shapes larger than this before building any list
+MAX_SHAPE_CELLS = 10_000
+
 
 def make_partition(parts) -> Partition:
     """Canonicalize a weakly decreasing integer sequence into a partition.
@@ -15,18 +18,24 @@ def make_partition(parts) -> Partition:
     Trailing zeros are trimmed; the empty tuple is the partition of 0.
     Raises ValueError on negative entries or out-of-order parts.
     """
-    seq = list(parts)
+    seq = parts if type(parts) is tuple else tuple(parts)
+    last = seq[0] if seq else 0
+    for p in seq:
+        if not isinstance(p, int) or p > last:
+            break
+        last = p
+    else:
+        if last > 0 or not seq:
+            return seq
+        if last == 0:
+            return seq[: seq.index(0)]
+    # only an invalid sequence gets here: raise its first error, in order
     for p in seq:
         if not isinstance(p, int):
             raise ValueError(f"partition parts must be integers, got {p!r}")
         if p < 0:
             raise ValueError(f"partition parts must be nonnegative, got {p}")
-    while seq and seq[-1] == 0:
-        seq.pop()
-    for a, b in zip(seq, seq[1:]):
-        if a < b:
-            raise ValueError(f"parts are not weakly decreasing: {list(parts)!r}")
-    return tuple(seq)
+    raise ValueError(f"parts are not weakly decreasing: {list(parts)!r}")
 
 
 def pad(p: Partition, length: int) -> tuple[int, ...]:
@@ -38,9 +47,10 @@ def pad(p: Partition, length: int) -> tuple[int, ...]:
 
 def conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram; an involution."""
-    if not p:
-        return ()
-    return tuple(sum(1 for part in p if part > j) for j in range(p[0]))
+    conj: list[int] = []
+    for i in range(len(p) - 1, -1, -1):
+        conj += [i + 1] * (p[i] - len(conj))
+    return tuple(conj)
 
 
 def hook_lengths(p: Partition) -> list[list[int]]:
@@ -192,19 +202,22 @@ def format_shape(p) -> str:
 
 
 def parse_shape(text: str) -> Partition:
-    """Parse comma-separated parts with optional ^ repetition, e.g. 5,5,1^10."""
+    """Parse comma-separated parts with optional ^ repetition, e.g. 5,5,1^10.
+
+    Shapes of more than MAX_SHAPE_CELLS cells are refused before any list is
+    built; a zero or negative part counts as one cell there, so the parts
+    list is bounded too."""
     stripped = text.strip()
     if stripped in ("", "()"):
         return ()
-    parts: list[int] = []
+    runs = []
     for token in stripped.split(","):
-        token = token.strip()
-        if "^" in token:
-            base, _, rep = token.partition("^")
-            count = int(rep)
-            if count < 0:
-                raise ValueError(f"negative repetition in shape: {text!r}")
-            parts.extend([int(base)] * count)
-        else:
-            parts.append(int(token))
-    return make_partition(parts)
+        base, caret, rep = token.strip().partition("^")
+        count = int(rep) if caret else 1
+        if count < 0:
+            raise ValueError(f"negative repetition in shape: {text!r}")
+        runs.append((int(base), count))
+    cells = sum(max(part, 1) * count for part, count in runs)
+    if cells > MAX_SHAPE_CELLS:
+        raise ValueError(f"shape has {cells} cells; the limit is {MAX_SHAPE_CELLS}")
+    return make_partition([part for part, count in runs for _ in range(count)])

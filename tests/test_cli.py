@@ -4,6 +4,7 @@ import pytest
 
 from conftest import assert_report_json, read_golden
 from sytknap.cli import VERIFIERS, main
+from sytknap.partitions import MAX_SHAPE_CELLS
 
 
 def run_cli(capsys, *args):
@@ -29,6 +30,19 @@ class TestDegreeCommand:
     def test_bad_shape_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "degree", "--shape", "1,3")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("degree", "--shape", f"1^{MAX_SHAPE_CELLS + 1}"),
+            ("verify", "--id", "hookwrap", "--mu", f"{MAX_SHAPE_CELLS + 1}", "--k", "2"),
+        ],
+        ids=["degree", "hookwrap"],
+    )
+    def test_shape_over_budget_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: shape has {MAX_SHAPE_CELLS + 1} cells; the limit is {MAX_SHAPE_CELLS}\n"
 
 
 class TestPathsCommand:

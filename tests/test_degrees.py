@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sytknap import degrees
 from sytknap.degrees import (
     degree,
     degree_fat_hook,
@@ -11,7 +14,37 @@ from sytknap.degrees import (
     syt_enumerate,
     three_row_value,
 )
-from sytknap.partitions import fat_hook, partitions
+from sytknap.partitions import fat_hook, hook_lengths, partitions
+
+
+def assert_hook_formula(p):
+    """The block product in degree() against hook_lengths, cell by cell."""
+    cells = math.prod(h for row in hook_lengths(p) for h in row)
+    assert degree_uncached(p) * cells == math.factorial(sum(p)), p
+
+
+@st.composite
+def three_row_shapes(draw, cells=250):
+    t = draw(st.integers(0, cells // 3))
+    s = draw(st.integers(t, (cells - t) // 2))
+    return (draw(st.integers(max(s, 1), cells - s - t)), s, t)
+
+
+@st.composite
+def fat_hook_shapes(draw, cells=250):
+    b = draw(st.integers(1, cells // 2))
+    a = draw(st.integers(b, cells - b))
+    return fat_hook(a, b, draw(st.integers(0, cells - a - b)))
+
+
+@st.composite
+def random_shapes(draw, cells=60):
+    remaining, largest, parts = draw(st.integers(1, cells)), cells, []
+    while remaining:
+        largest = draw(st.integers(1, min(largest, remaining)))
+        parts.append(largest)
+        remaining -= largest
+    return tuple(parts)
 
 
 class TestDegree:
@@ -53,6 +86,61 @@ class TestDegree:
                 largest = part
                 remaining -= part
             assert degree_uncached(tuple(parts)) >= 1
+
+
+class TestHookProductOracle:
+    def test_every_partition_to_20(self):
+        for n in range(1, 21):
+            for p in partitions(n):
+                assert_hook_formula(p)
+
+    @settings(max_examples=60)
+    @given(three_row_shapes())
+    def test_three_row_shapes(self, p):
+        assert_hook_formula(p)
+
+    @settings(max_examples=60)
+    @given(fat_hook_shapes())
+    def test_fat_hooks(self, p):
+        assert_hook_formula(p)
+
+    @settings(max_examples=100)
+    @given(random_shapes())
+    def test_random_shapes(self, p):
+        assert_hook_formula(p)
+
+    def test_staircase(self):
+        # every block is a single cell: the worst case for the block product
+        assert_hook_formula(tuple(range(140, 0, -1)))
+
+
+class TestHookProductCanFail:
+    """A block width off by one must be caught by the independent routes."""
+
+    @pytest.fixture(params=[-1, 1], ids=["narrow", "wide"])
+    def slipped(self, monkeypatch, request):
+        slip = request.param
+        monkeypatch.setattr(degrees, "perm", lambda n, k: math.perm(n, k + slip))
+
+    @staticmethod
+    def disagrees(p, other):
+        try:
+            return degree_uncached(p) != other
+        except ArithmeticError:  # the exact-division check, or a zero product
+            return True
+
+    def test_enumeration_catches_it(self, slipped):
+        # single rows escape a narrow slip: perm(n, n - 1) == perm(n, n)
+        for n in range(2, 12):
+            for p in partitions(n):
+                if len(p) > 1:
+                    assert self.disagrees(p, syt_enumerate(p)), p
+
+    def test_closed_forms_catch_it(self, slipped):
+        for r, s, t in [(3, 2, 1), (40, 25, 10), (100, 100, 50)]:
+            assert self.disagrees((r, s, t), degree_three_row(r, s, t))
+        for a, b, t in [(2, 2, 1), (30, 12, 40), (60, 60, 120)]:
+            assert self.disagrees(fat_hook(a, b, t), degree_fat_hook(a, b, t))
 
 
 class TestClosedForms:

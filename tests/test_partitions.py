@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sytknap.partitions import (
+    MAX_SHAPE_CELLS,
     add_rim_hooks,
     branching_children,
     conjugate,
@@ -48,6 +49,26 @@ class TestMakePartition:
         with pytest.raises(ValueError):
             make_partition([2.5, 1])
 
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ([3, -1, "x"], "partition parts must be nonnegative, got -1"),
+            (["x", -1], "partition parts must be integers, got 'x'"),
+            ([1, 2, -1], "partition parts must be nonnegative, got -1"),
+            ([1, 2, 2.0], "partition parts must be integers, got 2.0"),
+            ([3, 0, 1, 0], "parts are not weakly decreasing: [3, 0, 1, 0]"),
+        ],
+    )
+    def test_first_error_wins_for_lists_and_tuples(self, parts, message):
+        for seq in (parts, tuple(parts)):
+            with pytest.raises(ValueError) as exc:
+                make_partition(seq)
+            assert str(exc.value) == message
+
+    def test_tuple_input_is_trimmed(self):
+        assert make_partition((4, 2, 0, 0)) == (4, 2)
+        assert make_partition((True, False)) == (True,)
+
 
 class TestConjugate:
     def test_known(self):
@@ -63,6 +84,25 @@ class TestConjugate:
     def test_involution_at_20(self):
         for p in partitions(20):
             assert conjugate(conjugate(p)) == p
+
+    @staticmethod
+    def column_lengths(p):
+        return tuple(sum(1 for part in p if part > j) for j in range(p[0])) if p else ()
+
+    def test_matches_column_count_definition(self):
+        for n in range(21):
+            for p in partitions(n):
+                assert conjugate(p) == self.column_lengths(p)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(1, 400), max_size=80))
+    def test_matches_column_count_definition_on_large_parts(self, parts):
+        p = tuple(sorted(parts, reverse=True))
+        assert conjugate(p) == self.column_lengths(p)
+
+    def test_trailing_zeros_are_ignored(self):
+        assert conjugate((3, 1, 0, 0)) == conjugate((3, 1)) == (2, 1, 1)
+        assert conjugate((0,)) == ()
 
 
 class TestHookLengths:
@@ -257,6 +297,26 @@ class TestShapeText:
             parse_shape("1^-2")
         with pytest.raises(ValueError):
             parse_shape("1,3")
+
+    def test_parse_budget_is_inclusive(self):
+        assert parse_shape(f"1^{MAX_SHAPE_CELLS}") == (1,) * MAX_SHAPE_CELLS
+        assert parse_shape(f"{MAX_SHAPE_CELLS - 1},1") == (MAX_SHAPE_CELLS - 1, 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"{MAX_SHAPE_CELLS + 1}",
+            f"1^{MAX_SHAPE_CELLS + 1}",
+            f"2^{MAX_SHAPE_CELLS // 2},1",
+            f"{MAX_SHAPE_CELLS},1",
+            f"0^{MAX_SHAPE_CELLS + 1}",  # a zero part counts as one cell
+            "5^1000000000",
+            f"{10**9}",
+        ],
+    )
+    def test_parse_refuses_shapes_over_budget(self, text):
+        with pytest.raises(ValueError, match=f"the limit is {MAX_SHAPE_CELLS}"):
+            parse_shape(text)
 
     def test_pad_rejects_short_length(self):
         with pytest.raises(ValueError):
