@@ -15,6 +15,7 @@ from .certificates import CERTIFICATES, certify_all
 from .degrees import degree, syt_enumerate
 from .identities import (
     report_to_json,
+    to_decimal,
     verify_analytic_ladder,
     verify_boundary,
     verify_branch_rows,
@@ -45,7 +46,7 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_degree(args) -> int:
     shape = parse_shape(args.shape)
     value = syt_enumerate(shape) if args.route == "enumerate" else degree(shape)
-    _emit(f"{value}\n", args.out)
+    _emit(f"{to_decimal(value)}\n", args.out)
     return 0
 
 
@@ -56,7 +57,7 @@ def _cmd_paths(args) -> int:
         text = "\n".join(p if p else "(empty)" for p in paths)
         _emit((text + "\n") if paths else "", args.out)
         return 0
-    _emit(f"{count_paths(kind, args.n)}\n", args.out)
+    _emit(f"{to_decimal(count_paths(kind, args.n))}\n", args.out)
     return 0
 
 
@@ -151,10 +152,10 @@ def _cmd_scan(args) -> int:
             shape = format_shape(r.probe_shape) if r.probe_shape is not None else ""
             fields = [
                 str(r.d),
-                str(r.value),
+                to_decimal(r.value),
                 shape,
-                "" if r.probe_value is None else str(r.probe_value),
-                "" if r.residual is None else str(r.residual),
+                "" if r.probe_value is None else to_decimal(r.probe_value),
+                "" if r.residual is None else to_decimal(r.residual),
                 " ".join(r.candidates),
                 r.note,
             ]
@@ -164,8 +165,8 @@ def _cmd_scan(args) -> int:
         for r in rows:
             probe = f"f({format_shape(r.probe_shape)})" if r.probe_shape is not None else "-"
             lines.append(
-                f"d={r.d:<2d} value={r.value} probe={probe}"
-                f" residual={'-' if r.residual is None else r.residual} ; {r.note}"
+                f"d={r.d:<2d} value={to_decimal(r.value)} probe={probe}"
+                f" residual={'-' if r.residual is None else to_decimal(r.residual)} ; {r.note}"
             )
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -68,13 +68,35 @@ class Report:
         return not self.error and self.lhs == self.rhs and all(self.checks.values())
 
 
+# str() takes integers of up to this many bits: under 640 digits, the lowest
+# sys.int_max_str_digits Python accepts
+_STR_BITS = 2_000
+
+
+def to_decimal(value: int) -> str:
+    """Decimal text of an integer of any size.
+
+    str() refuses integers longer than sys.int_max_str_digits (4300 digits
+    by default).  A longer value is split at a power of ten and its halves
+    converted in turn, so the limit never applies and no process-wide
+    setting changes.
+    """
+    if value < 0:
+        return "-" + to_decimal(-value)
+    if value.bit_length() <= _STR_BITS:
+        return str(value)
+    half = value.bit_length() * 3 // 20  # about half the digits: log10(2) ~ 0.3
+    high, low = divmod(value, 10**half)
+    return to_decimal(high) + to_decimal(low).zfill(half)
+
+
 def report_to_json(report: Report) -> dict:
     """Serialize a report; big integers become decimal strings."""
     out = {
         "id": report.id,
         "params": {key: _json_value(v) for key, v in report.params.items()},
-        "lhs": str(report.lhs),
-        "rhs": str(report.rhs),
+        "lhs": to_decimal(report.lhs),
+        "rhs": to_decimal(report.rhs),
         "pass": report.passed,
         "regime": report.regime,
         "terms": [_term_to_json(t) for t in report.terms],
@@ -94,7 +116,7 @@ def _json_value(v):
     if isinstance(v, bool):
         return v
     if isinstance(v, int):
-        return str(v) if abs(v) > 2**53 else v
+        return to_decimal(v) if abs(v) > 2**53 else v
     if isinstance(v, (tuple, list)):
         return [_json_value(x) for x in v]
     if isinstance(v, dict):
@@ -103,7 +125,7 @@ def _json_value(v):
 
 
 def _term_to_json(t: Term) -> dict:
-    out = {"side": t.side, "sign": t.sign, "shape": list(t.shape), "value": str(t.value)}
+    out = {"side": t.side, "sign": t.sign, "shape": list(t.shape), "value": to_decimal(t.value)}
     if t.kind != "partition":
         out["kind"] = t.kind
     return out

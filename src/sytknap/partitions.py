@@ -11,6 +11,10 @@ Partition = tuple[int, ...]
 # parse_shape refuses shapes larger than this before building any list
 MAX_SHAPE_CELLS = 10_000
 
+# add_rim_hooks refuses larger hooks before building any beta numbers: its
+# work grows faster than size**2 (about 0.3 s at 1 000 cells, 5 s at 4 000)
+MAX_RIM_HOOK_CELLS = 1_000
+
 
 def make_partition(parts) -> Partition:
     """Canonicalize a weakly decreasing integer sequence into a partition.
@@ -90,10 +94,13 @@ def add_rim_hooks(p: Partition, size: int) -> list[tuple[int, Partition]]:
     Works on first-column hook lengths (beta numbers): adding a rim hook of
     `size` cells increments exactly one beta number by `size`, and the sign
     (-1)**(rows spanned - 1) equals parity of the number of beta values
-    jumped over.  Sorted lex descending by resulting partition.
+    jumped over.  Sorted lex descending by resulting partition.  A hook of
+    more than MAX_RIM_HOOK_CELLS cells is refused with ValueError.
     """
     if size < 1:
         raise ValueError("rim hook size must be positive")
+    if size > MAX_RIM_HOOK_CELLS:
+        raise ValueError(f"rim hook has {size} cells; the limit is {MAX_RIM_HOOK_CELLS}")
     rows = len(p) + size
     beta = [(p[i] if i < len(p) else 0) + (rows - 1 - i) for i in range(rows)]
     beta_set = set(beta)

@@ -5,6 +5,7 @@ from .certificates import CertificateReport
 from .identities import (
     Report,
     Term,
+    to_decimal,
     verify_knapsack,
     verify_ladder,
 )
@@ -48,7 +49,7 @@ def render_report(report: Report) -> str:
         lines.append(f"  error: {report.error}")
         return "\n".join(lines)
     lines.append(f"  {format_side(report, 'L')} = {format_side(report, 'R')}")
-    lines.append(f"  {report.lhs} = {report.rhs}")
+    lines.append(f"  {to_decimal(report.lhs)} = {to_decimal(report.rhs)}")
     if report.note:
         lines.append(f"  note: {report.note}")
     for label, ok in report.checks.items():
@@ -72,7 +73,7 @@ def _table_line(label: str, report: Report) -> str:
     status = "pass" if report.passed else "FAIL"
     return (
         f"{label}: {format_side(report, 'L')} = {format_side(report, 'R')}"
-        f" ; {report.lhs} = {report.rhs} ; {status}"
+        f" ; {to_decimal(report.lhs)} = {to_decimal(report.rhs)} ; {status}"
     )
 
 

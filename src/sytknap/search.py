@@ -2,7 +2,9 @@
 scan.  Output is ranked data for a human to read; nothing here asserts that
 a found pair is interesting."""
 
-from dataclasses import dataclass, field, replace
+import gc
+from collections import defaultdict
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .degrees import degree
@@ -51,9 +53,19 @@ def build_pool(n: int, families=("3part", "fathook")) -> Pool:
     return Pool(n, members)
 
 
-@dataclass(frozen=True)
+# The join's candidate comparisons per call: a search stops before the sum
+# that would take it past this many (about 2 s of join work on a 2-core VM).
+# The largest benchmark search makes 1 824 092, the README example 106 902.
+MAX_JOIN_CANDIDATES = 20_000_000
+
+
+@dataclass(slots=True)
 class FoundIdentity:
-    """One equal-sum pair of disjoint partition subsets."""
+    """One equal-sum pair of disjoint partition subsets.
+
+    Slotted and mutable, so unhashable: a search builds one per pair found
+    and labels rediscoveries in place.
+    """
 
     n: int
     left: tuple[Partition, ...]
@@ -77,8 +89,9 @@ class SearchResult:
     """Ranked pairs and how far the search got.
 
     stopped_by names the budget that cut the run short: "max_results" when
-    more pairs existed than were kept, otherwise "max_evals" when subset
-    enumeration was cut, otherwise None.
+    more pairs existed than were kept, otherwise "max_candidates" when the
+    join's comparisons would have passed MAX_JOIN_CANDIDATES, otherwise
+    "max_evals" when subset enumeration was cut, otherwise None.
     """
 
     pairs: list[FoundIdentity]
@@ -122,18 +135,25 @@ def find_equal_sum_pairs(
     first when both have the same size.
 
     The search runs level by level in t and builds the size-s subsets only
-    when level s + 1 first needs them.  Two budgets stop it early and return
-    the partial, still-ranked results:
+    when level s + 1 first needs them.  Three budgets stop it early and
+    return the partial, still-ranked results:
 
     - max_evals caps the subsets enumerated, in itertools.combinations
       order by size; pairs among the subsets enumerated before the cap are
       still emitted.
     - max_results caps the pairs kept (None: no cap).  The search stops as
       soon as one more pair exists, so larger subsets may never be built.
+    - MAX_JOIN_CANDIDATES caps the join's candidate comparisons: for each
+      sum, |A| * |B| for the size-a and size-b subsets A and B with that
+      sum, or C(|A|, 2) when a = b.  The search stops before the sum that
+      would exceed it, so the pairs kept are a prefix of the uncapped ones.
 
     subsets_enumerated counts the subsets built before the stop (one more
     than max_evals when that cap cut enumeration).  stopped_by names the
     budget that cut the output, with max_results taking precedence.
+
+    The cyclic garbage collector is paused for the call (the search makes
+    no reference cycles) and left as it was found.
     """
     if max_side < 1:
         raise ValueError(f"need max_side >= 1, got {max_side}")
@@ -141,31 +161,64 @@ def find_equal_sum_pairs(
         raise ValueError(f"need max_evals >= 0, got {max_evals}")
     if max_results is not None and max_results < 0:
         raise ValueError(f"need max_results >= 0, got {max_results}")
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pairs, enumerated, stopped_by = _search(pool, max_side, max_evals, max_results)
+        _label_rediscoveries(pool.n, pairs)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return SearchResult(pairs, enumerated, stopped_by)
+
+
+def _search(pool, max_side, max_evals, max_results):
+    """The level-by-level join of find_equal_sum_pairs, unlabelled:
+    (pairs, subsets enumerated, stopped_by)."""
     members = pool.members
+    m = len(members)
     values = [value for _, value in members]
-    top = min(max_side, len(members))
+    top = min(max_side, m)
+    # tails[i]: (value, bit, index) of members i, i + 1, ...: what a subset
+    # whose last member is i - 1 grows by, in itertools.combinations order
+    tails = [[(values[j], 1 << j, j) for j in range(i, m)] for i in range(m + 1)]
     indexes: list[dict[int, list[int]]] = [{}]  # indexes[s]: sum -> size-s bitmasks
-    # (sum, bitmask, last member) of each subset one smaller than the largest
-    # indexed, in itertools.combinations order
-    frontier = [(0, 0, -1)]
+    # (sum, bitmask, tail) of each subset one smaller than the largest indexed
+    frontier = [(0, 0, tails[0])]
     enumerated = 0
     evals_hit = False
+    comparisons = 0
     stopped_by = None
     sides = _Sides(shape for shape, _ in members)
     pairs: list[FoundIdentity] = []
     for t in range(2, 2 * top + 1):
         if len(indexes) <= min(t - 1, top) and not evals_hit:
             if len(indexes) > 1:
-                frontier = list(_extend(frontier, values))
-            index = {}
-            for total, mask, _ in _extend(frontier, values):
-                enumerated += 1
-                if enumerated > max_evals:
+                frontier = [
+                    (total + v, mask | b, tails[j + 1])
+                    for total, mask, tail in frontier
+                    for v, b, j in tail
+                ]
+            index = defaultdict(list)
+            for total, mask, tail in frontier:
+                if len(tail) > max_evals - enumerated:
+                    tail = tail[: max_evals - enumerated]
                     evals_hit = True
+                for v, b, _ in tail:
+                    index[total + v].append(mask | b)
+                enumerated += len(tail)
+                if evals_hit:
+                    enumerated += 1  # the subset past the cap
                     break
-                index.setdefault(total, []).append(mask)
             indexes.append(index)
-        for total, chunk in _level_chunks(indexes, t, sides):
+        for total, cost, buckets in _level_sums(indexes, t):
+            comparisons += cost
+            if comparisons > MAX_JOIN_CANDIDATES:
+                stopped_by = "max_candidates"
+                break
+            chunk = _join(buckets, sides)
+            if not chunk:
+                continue
             if max_results is not None and len(pairs) + len(chunk) > max_results:
                 del chunk[max_results - len(pairs):]
                 stopped_by = "max_results"
@@ -176,37 +229,46 @@ def find_equal_sum_pairs(
             break
     if stopped_by is None and evals_hit:
         stopped_by = "max_evals"
-    _label_rediscoveries(pool.n, pairs)
-    return SearchResult(pairs, enumerated, stopped_by)
+    return pairs, enumerated, stopped_by
 
 
-def _extend(frontier, values):
-    """Each subset one member larger than the frontier's, in
-    itertools.combinations order: add every member past a subset's last."""
-    m = len(values)
-    for total, mask, last in frontier:
-        for j in range(last + 1, m):
-            yield total + values[j], mask | 1 << j, j
-
-
-def _level_chunks(indexes, t, sides):
-    """The pairs of level t grouped by ascending sum, each group sorted by
-    the sides' index tuples.  Level t joins the size-a and size-(t - a) sum
-    indexes for every a <= t - a that has been built."""
+def _level_sums(indexes, t):
+    """The sums of level t in ascending order, each with its candidate
+    comparisons and its (size-a bitmasks, size-(t - a) bitmasks) buckets.
+    Level t joins the size-a and size-(t - a) sum indexes for every
+    a <= t - a that has been built; a self-join (a = t - a) visits only the
+    sums of at least two subsets."""
     smallest = max(1, t - len(indexes) + 1)  # the larger side must be built
     splits = [(indexes[a], indexes[t - a]) for a in range(smallest, t // 2 + 1)]
-    common = set().union(*(xs.keys() & ys.keys() for xs, ys in splits))
+    common = set()
+    for xs, ys in splits:
+        if xs is ys:
+            common.update(total for total, masks in xs.items() if len(masks) > 1)
+        else:
+            common |= xs.keys() & ys.keys()
     for total in sorted(common):
-        chunk = []
+        cost = 0
+        buckets = []
         for xs, ys in splits:
             left, right = xs.get(total), ys.get(total)
             if left is None or right is None:
                 continue
-            candidates = combinations(left, 2) if xs is ys else product(left, right)
-            chunk += [(sides[x], sides[y]) for x, y in candidates if not x & y]
-        if chunk:
-            chunk.sort()
-            yield total, chunk
+            cost += len(left) * (len(left) - 1) // 2 if left is right else len(left) * len(right)
+            buckets.append((left, right))
+        yield total, cost, buckets
+
+
+def _join(buckets, sides):
+    """The disjoint pairs of one sum's buckets as (left side, right side),
+    sorted by the sides' index tuples."""
+    chunk = [
+        (sides[x], sides[y])
+        for left, right in buckets
+        for x, y in (combinations(left, 2) if left is right else product(left, right))
+        if not x & y
+    ]
+    chunk.sort()
+    return chunk
 
 
 class _Sides(dict):
@@ -216,15 +278,13 @@ class _Sides(dict):
     def __init__(self, shapes):
         super().__init__()
         self.shapes = tuple(shapes)
+        self[0] = ((), ())
 
     def __missing__(self, mask: int) -> tuple[tuple[int, ...], tuple[Partition, ...]]:
-        indexes = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            indexes.append(low.bit_length() - 1)
-            rest ^= low
-        self[mask] = side = (tuple(indexes), tuple(map(self.shapes.__getitem__, indexes)))
+        # extend the decoded parent (mask without its top member) by one
+        top = mask.bit_length() - 1
+        indexes, shapes = self[mask ^ 1 << top]
+        self[mask] = side = (indexes + (top,), shapes + (self.shapes[top],))
         return side
 
 
@@ -233,11 +293,11 @@ def _label_rediscoveries(n: int, pairs: list[FoundIdentity]) -> None:
     Only pairs whose sum is the sum of some instance are looked up."""
     known = _known_knapsack_instances(n)
     totals = {sum(degree(s) for s in next(iter(key))) for key in known}
-    for i, p in enumerate(pairs):
+    for p in pairs:
         if p.total in totals:
             label = known.get(frozenset((frozenset(p.left), frozenset(p.right))))
             if label is not None:
-                pairs[i] = replace(p, label=f"rediscovers {label}")
+                p.label = f"rediscovers {label}"
 
 
 @dataclass

@@ -1,10 +1,12 @@
 import json
+from decimal import Decimal
 
 import pytest
 
 from conftest import assert_report_json, read_golden
 from sytknap.cli import VERIFIERS, main
-from sytknap.partitions import MAX_SHAPE_CELLS
+from sytknap.degrees import degree
+from sytknap.partitions import MAX_RIM_HOOK_CELLS, MAX_SHAPE_CELLS
 
 
 def run_cli(capsys, *args):
@@ -30,6 +32,12 @@ class TestDegreeCommand:
     def test_bad_shape_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "degree", "--shape", "1,3")
         assert code == 2 and "error" in err
+
+    def test_past_the_str_digit_limit(self, capsys):
+        # over 16 000 digits: str() alone stops at 4300 by default
+        code, out, err = run_cli(capsys, "degree", "--shape", "100^100")
+        assert code == 0 and err == ""
+        assert out == f"{Decimal(degree((100,) * 100))}\n" and len(out) > 16_000
 
     @pytest.mark.parametrize(
         "argv",
@@ -64,6 +72,21 @@ class TestVerifyCommand:
     def test_hookwrap_known_example(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--id", "hookwrap", "--mu", "3,1", "--k", "6")
         assert code == 0 and "0 = 0" in out
+
+    def test_rim_hook_over_budget_is_usage_error(self, capsys):
+        k = MAX_RIM_HOOK_CELLS + 1
+        code, out, err = run_cli(capsys, "verify", "--id", "hookwrap", "--mu", "3,1", "--k", f"{k}")
+        assert code == 2 and out == ""
+        assert err == f"error: rim hook has {k} cells; the limit is {MAX_RIM_HOOK_CELLS}\n"
+
+    def test_json_past_the_str_digit_limit(self, capsys):
+        argv = ("verify", "--id", "hookwrap", "--mu", "100^100", "--k", "2", "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        (report,) = json.loads(out)
+        assert code == 0 and report["pass"] and len(report["terms"]) > 1
+        for term in report["terms"]:
+            assert term["value"] == str(Decimal(degree(tuple(term["shape"]))))
+            assert len(term["value"]) > 16_000
 
     def test_failing_verification_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--id", "hookwrap", "--mu", "1", "--k", "1")

@@ -1,9 +1,15 @@
+import random
+from decimal import Decimal
+
 import pytest
 
 from conftest import assert_report_json
 from sytknap.degrees import degree
 from sytknap.identities import (
+    Report,
+    Term,
     report_to_json,
+    to_decimal,
     swapped,
     verify_analytic_ladder,
     verify_boundary,
@@ -15,7 +21,7 @@ from sytknap.identities import (
     verify_ladder,
     verify_riordan,
 )
-from sytknap.partitions import partitions
+from sytknap.partitions import MAX_RIM_HOOK_CELLS, partitions
 from sytknap.paths import PathKind, count_paths
 
 
@@ -260,6 +266,10 @@ class TestHookWrap:
                 for k in range(2, 9):
                     assert verify_hook_wrap(mu, k).passed, (mu, k)
 
+    def test_rejects_k_over_budget(self):
+        with pytest.raises(ValueError, match="rim hook has 1001 cells; the limit is 1000"):
+            verify_hook_wrap((3, 1), MAX_RIM_HOOK_CELLS + 1)
+
     def test_k1_does_not_vanish(self):
         # a single box never has a leg, so all signs are +1 and the sum is
         # a positive count; there is no identity at k = 1
@@ -358,3 +368,23 @@ class TestReportStructure:
                 if t["side"] == "L"
             )
             assert str(total) == data["lhs"]
+
+
+class TestDecimalText:
+    def test_matches_a_second_route(self):
+        rng = random.Random(4300)
+        for bits in [1, 1999, 2000, 2001, 14_284, 14_285, 50_000] + [rng.randint(1, 60_000) for _ in range(40)]:
+            for value in (rng.getrandbits(bits), -rng.getrandbits(bits), 1 << bits, 10 ** (bits // 3) - 1):
+                assert to_decimal(value) == str(Decimal(value))
+
+    def test_report_past_the_str_digit_limit(self):
+        from sytknap.render import render_report
+
+        shape = (100,) * 100
+        value = degree(shape)
+        text = str(Decimal(value))
+        report = Report("big", {"n": 10_000}, [Term("L", 1, shape, value), Term("R", 1, shape, value)])
+        report.extra["value"] = value
+        out = report_to_json(report)
+        assert out["lhs"] == out["rhs"] == out["terms"][0]["value"] == out["extra"]["value"] == text
+        assert f"  {text} = {text}" in render_report(report).splitlines()

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,14 @@ class TestRimHooks:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             add_rim_hooks((2,), 0)
+
+    def test_budget(self, monkeypatch):
+        # the package re-exports the partitions() function under the module's name
+        module = importlib.import_module("sytknap.partitions")
+        monkeypatch.setattr(module, "MAX_RIM_HOOK_CELLS", 6)
+        assert len(add_rim_hooks((3, 1), 6)) == 6
+        with pytest.raises(ValueError, match="rim hook has 7 cells; the limit is 6"):
+            add_rim_hooks((3, 1), 7)
 
     def test_results_are_rim_additions(self):
         # every output contains mu cellwise, has the right size, and the

@@ -1,10 +1,15 @@
+import gc
+import inspect
+import random
 from itertools import chain, combinations
 
 import pytest
 
+from sytknap import search
 from sytknap.degrees import degree
 from sytknap.search import (
     _known_knapsack_instances,
+    _Sides,
     build_pool,
     find_equal_sum_pairs,
     scan_even_ladders,
@@ -151,6 +156,111 @@ class TestAgainstReference:
         assert short.stopped_by == "max_evals"
         exact = assert_matches_reference(pool, 3, max_evals=full.subsets_enumerated)
         assert exact.stopped_by is None and exact.pairs == full.pairs
+
+
+class TestJoinCanFail:
+    """The oracle comparison catches a join that keeps overlapping sides or
+    puts the later subset of a same-size pair on the left."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("        if not x & y\n", ""),
+            ("combinations(left, 2)", "((y, x) for x, y in combinations(left, 2))"),
+        ],
+        ids=["overlapping-sides", "self-join-order"],
+    )
+    def test_mutation_fails_the_oracle(self, monkeypatch, old, new):
+        source = inspect.getsource(search._join)
+        assert old in source
+        namespace = dict(vars(search))
+        exec(source.replace(old, new), namespace)  # a mutated copy of _join
+        monkeypatch.setattr(search, "_join", namespace["_join"])
+        with pytest.raises(AssertionError):
+            assert_matches_reference(build_pool(10), 3)
+
+
+class TestSides:
+    @staticmethod
+    def decode(shapes, mask):
+        indexes = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        return indexes, tuple(shapes[i] for i in indexes)
+
+    def test_every_small_mask(self):
+        shapes = [(30 - i,) for i in range(30)]
+        sides = _Sides(shapes)
+        for size in range(5):
+            for combo in combinations(range(30), size):
+                mask = sum(1 << i for i in combo)
+                assert sides[mask] == self.decode(shapes, mask)
+
+    def test_random_masks(self):
+        rng = random.Random(61)
+        shapes = [(61 - i, 1) for i in range(61)]
+        sides = _Sides(shapes)
+        for _ in range(2_000):
+            mask = rng.getrandbits(61)
+            assert sides[mask] == self.decode(shapes, mask)
+
+
+class TestGcState:
+    def test_left_as_found(self):
+        assert gc.isenabled()
+        find_equal_sum_pairs(build_pool(8), 3)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            find_equal_sum_pairs(build_pool(8), 3)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_restored_when_labelling_raises(self, monkeypatch):
+        def fail(n, pairs):
+            raise RuntimeError("labelling failed")
+
+        monkeypatch.setattr(search, "_label_rediscoveries", fail)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError):
+            find_equal_sum_pairs(build_pool(8), 3)
+        assert gc.isenabled()
+
+
+class TestJoinBudget:
+    @staticmethod
+    def comparisons(pool, max_side):
+        """What an uncapped search compares: every unordered pair of
+        distinct subsets of at most max_side members with equal sums."""
+        counts = {}
+        sizes = range(1, min(max_side, len(pool.members)) + 1)
+        for combo in chain.from_iterable(combinations(pool.members, s) for s in sizes):
+            total = sum(value for _, value in combo)
+            counts[total] = counts.get(total, 0) + 1
+        return sum(c * (c - 1) // 2 for c in counts.values())
+
+    @pytest.mark.parametrize("n, max_side", [(9, 3), (10, 4)])
+    def test_stops_past_the_budget(self, monkeypatch, n, max_side):
+        pool = build_pool(n)
+        uncapped = find_equal_sum_pairs(pool, max_side, max_results=None)
+        count = self.comparisons(pool, max_side)
+        monkeypatch.setattr(search, "MAX_JOIN_CANDIDATES", count)
+        exact = find_equal_sum_pairs(pool, max_side, max_results=None)
+        assert exact.stopped_by is None and exact.pairs == uncapped.pairs
+        monkeypatch.setattr(search, "MAX_JOIN_CANDIDATES", count - 1)
+        short = find_equal_sum_pairs(pool, max_side, max_results=None)
+        assert short.stopped_by == "max_candidates" and short.truncated
+        assert short.pairs == uncapped.pairs[: len(short.pairs)]
+        assert short.subsets_enumerated == uncapped.subsets_enumerated
+
+    def test_result_cap_takes_precedence(self, monkeypatch):
+        pool = build_pool(9)
+        monkeypatch.setattr(search, "MAX_JOIN_CANDIDATES", self.comparisons(pool, 3) - 1)
+        res = find_equal_sum_pairs(pool, 3, max_results=5)
+        assert res.stopped_by == "max_results"
+        assert res.pairs == find_equal_sum_pairs(pool, 3, max_results=None).pairs[:5]
+
+    def test_default_is_far_above_every_benchmark_search(self):
+        assert search.MAX_JOIN_CANDIDATES >= 10 * self.comparisons(build_pool(8), 8)
 
 
 class TestBudgets:
