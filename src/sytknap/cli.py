@@ -1,9 +1,11 @@
 """Command-line surface: single evaluations, identity verification, table
 reproduction, symbolic certificates, search and scans.
 
-Exit status: 0 all checks passed, 1 at least one verification failed
-(reports are still emitted), 2 usage or bounds error.  Runs are seedless and
-deterministic: the same invocation always produces byte-identical output.
+Subcommands return (text, exit status); `main` alone writes the `--out`
+file, then stdout.  Exit status: 0 all checks passed, 1 at least one
+verification failed (reports are still emitted), 2 usage, bounds or
+`--out` error.  Runs are seedless and deterministic: the same invocation
+always produces byte-identical output.
 """
 
 import argparse
@@ -34,31 +36,17 @@ from .search import build_pool, find_equal_sum_pairs, scan_even_ladders
 OUT_DIR_ENV = "SYTKNAP_OUT_DIR"
 
 
-def _emit(text: str, out: str | None) -> None:
-    sys.stdout.write(text)
-    if out:
-        base = os.environ.get(OUT_DIR_ENV, "")
-        path = out if os.path.isabs(out) or not base else os.path.join(base, out)
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _cmd_degree(args) -> int:
+def _cmd_degree(args) -> tuple[str, int]:
     shape = parse_shape(args.shape)
     value = syt_enumerate(shape) if args.route == "enumerate" else degree(shape)
-    _emit(f"{to_decimal(value)}\n", args.out)
-    return 0
+    return f"{to_decimal(value)}\n", 0
 
 
-def _cmd_paths(args) -> int:
+def _cmd_paths(args) -> tuple[str, int]:
     kind = PathKind(args.kind)
     if args.list:
-        paths = enumerate_paths(kind, args.n)
-        text = "\n".join(p if p else "(empty)" for p in paths)
-        _emit((text + "\n") if paths else "", args.out)
-        return 0
-    _emit(f"{to_decimal(count_paths(kind, args.n))}\n", args.out)
-    return 0
+        return "".join(f"{p or '(empty)'}\n" for p in enumerate_paths(kind, args.n)), 0
+    return f"{to_decimal(count_paths(kind, args.n))}\n", 0
 
 
 def _knapsack_reports(args) -> list:
@@ -80,43 +68,37 @@ VERIFIERS = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _reports_output(reports, fmt: str, to_json, render) -> tuple[str, int]:
+    """JSON or text for a list of reports; exit 1 when any report failed."""
+    if fmt == "json":
+        text = json.dumps([to_json(r) for r in reports], indent=2)
+    else:
+        text = "\n".join(render(r) for r in reports)
+    return text + "\n", 0 if all(r.passed for r in reports) else 1
+
+
+def _cmd_verify(args) -> tuple[str, int]:
     required, build = VERIFIERS[args.id]
     missing = [f"--{name}" for name in required if getattr(args, name) is None]
     if missing:
         raise ValueError(f"verify --id {args.id} needs {' '.join(missing)}")
-    reports = build(args)
-    if args.format == "json":
-        text = json.dumps([report_to_json(r) for r in reports], indent=2) + "\n"
-    else:
-        text = "\n".join(render_report(r) for r in reports) + "\n"
-    _emit(text, args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    return _reports_output(build(args), args.format, report_to_json, render_report)
 
 
-def _cmd_table(args) -> int:
-    _emit(render_table(args.id), args.out)
-    return 0
+def _cmd_table(args) -> tuple[str, int]:
+    return render_table(args.id), 0
 
 
-def _cmd_certify(args) -> int:
-    if args.name:
-        if args.name not in CERTIFICATES:
-            raise ValueError(
-                f"unknown certificate {args.name!r}; available: {', '.join(sorted(CERTIFICATES))}"
-            )
-        reports = [CERTIFICATES[args.name]()]
-    else:
-        reports = certify_all()
-    if args.format == "json":
-        text = json.dumps([r.to_json() for r in reports], indent=2) + "\n"
-    else:
-        text = "\n".join(render_certificate(r) for r in reports) + "\n"
-    _emit(text, args.out)
-    return 0 if all(r.passed for r in reports) else 1
+def _cmd_certify(args) -> tuple[str, int]:
+    if args.name and args.name not in CERTIFICATES:
+        raise ValueError(
+            f"unknown certificate {args.name!r}; available: {', '.join(sorted(CERTIFICATES))}"
+        )
+    reports = [CERTIFICATES[args.name]()] if args.name else certify_all()
+    return _reports_output(reports, args.format, lambda r: r.to_json(), render_certificate)
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[str, int]:
     families = tuple(args.pool.split("+"))
     pool = build_pool(args.n, families)
     result = find_equal_sum_pairs(pool, args.max_side, args.max_evals)
@@ -127,24 +109,21 @@ def _cmd_search(args) -> int:
             "truncated": result.truncated,
             "pairs": [report_to_json(p.to_report()) for p in result.pairs],
         }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [
-            f"pool n={args.n} families={args.pool} size={len(pool.members)}"
-            f" subsets={result.subsets_enumerated}"
-            + (" TRUNCATED" if result.truncated else "")
-        ]
-        for p in result.pairs:
-            left = " + ".join(f"f({format_shape(s)})" for s in p.left)
-            right = " + ".join(f"f({format_shape(s)})" for s in p.right)
-            tail = f" ; {p.label}" if p.label else ""
-            lines.append(f"{left} = {right} ; sum {p.total}{tail}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return json.dumps(payload, indent=2) + "\n", 0
+    lines = [
+        f"pool n={args.n} families={args.pool} size={len(pool.members)}"
+        f" subsets={result.subsets_enumerated}"
+        + (" TRUNCATED" if result.truncated else "")
+    ]
+    for p in result.pairs:
+        left = " + ".join(f"f({format_shape(s)})" for s in p.left)
+        right = " + ".join(f"f({format_shape(s)})" for s in p.right)
+        tail = f" ; {p.label}" if p.label else ""
+        lines.append(f"{left} = {right} ; sum {p.total}{tail}")
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[str, int]:
     rows = scan_even_ladders(args.k, args.m, args.dmax)
     if args.format == "csv":
         lines = ["d,value,probe_shape,probe_value,residual,candidates,note"]
@@ -168,8 +147,7 @@ def _cmd_scan(args) -> int:
                 f"d={r.d:<2d} value={to_decimal(r.value)} probe={probe}"
                 f" residual={'-' if r.residual is None else to_decimal(r.residual)} ; {r.note}"
             )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,14 +161,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degree", help="number of standard Young tableaux of a shape")
     p.add_argument("--shape", required=True, help="comma parts with ^ repetition, e.g. 5,5,1^10")
     p.add_argument("--route", choices=("hook", "enumerate"), default="hook")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_degree)
 
     p = sub.add_parser("paths", help="lattice path counts (dyck n = semilength)")
     p.add_argument("--kind", choices=[k.value for k in PathKind], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--list", action="store_true", help="enumerate instead of count")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("verify", help="verify one identity instance or sweep")
@@ -202,18 +178,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="base shape for hookwrap")
     p.add_argument("--parity", choices=("same", "opposite"))
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="reproduce a reference table (byte-stable)")
     p.add_argument("--id", required=True, choices=sorted(TABLES))
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("certify", help="run symbolic certificates")
     p.add_argument("--name", help="one certificate; default runs all")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("search", help="search for equal-degree-sum subset pairs")
@@ -222,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-side", type=int, default=8)
     p.add_argument("--max-evals", type=int, default=10_000_000)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("scan", help="informational even-ladder scan")
@@ -230,19 +202,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--format", choices=("text", "csv"), default="csv")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
+
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+        text, status = args.func(args)
+        if args.out:
+            # join drops the base directory for an absolute path
+            with open(os.path.join(os.environ.get(OUT_DIR_ENV, ""), args.out), "w") as fh:
+                fh.write(text)
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return status
 
 
 def run() -> None:

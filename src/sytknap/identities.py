@@ -68,6 +68,11 @@ class Report:
         return not self.error and self.lhs == self.rhs and all(self.checks.values())
 
 
+# verify_hook_wrap's budget on (rows + k) * (cells + k), which bounds the
+# resulting shapes times their cells; the slowest case measured under it,
+# the staircase (51, 50, ..., 1) at k = 1000, takes 2-3 s on a 2-core VM
+MAX_HOOK_WRAP_WORK = 2_500_000
+
 # str() takes integers of up to this many bits: under 640 digits, the lowest
 # sys.int_max_str_digits Python accepts
 _STR_BITS = 2_000
@@ -273,43 +278,32 @@ def _rhs_delta(k: int, delta: int) -> list[tuple]:
 
 def verify_ladder(d: int, k: int, m: int) -> Report:
     """The odd ladder sum (2d+1 consecutive fat hooks) against its closed
-    forms: low-tail (m <= k), high-tail (m >= k + 6d - 3), the two middle
-    cases at d = 1, and the eight intermediate cases at d = 2.
+    forms: low-tail (m <= k), high-tail (m >= k + 6d - 3 > k), the two middle
+    cases at d = 1 (m - k in {1, 2}), and the eight intermediate cases at
+    d = 2 (1 <= m - k <= 8).  The regions are disjoint: one form applies.
     """
     if d < 0 or k < 2 or m < 2:
         raise ValueError(f"need d >= 0 and k, m >= 2, got {(d, k, m)}")
-    regions: list[tuple[str, list]] = []
     if d == 0:
-        regions.append(("trivial", [fat_hook(k, k, m)]))
+        regime, shapes = "trivial", [fat_hook(k, k, m)]
+    elif max(2, 4 * (d - 1)) <= m <= k:
+        regime, shapes = "low-tail", _rhs_low_tail(d, k, m)
+    elif m >= k + 6 * d - 3:
+        regime, shapes = "high-tail", _rhs_high_tail(d, k, m)
+    elif d == 1 and m - k in (1, 2):
+        regime, shapes = "middle", [fat_hook(k + 2, k, m - 2)]
+    elif d == 2 and 1 <= m - k <= 8 and k >= 6:
+        regime, shapes = "delta", _rhs_delta(k, m - k)
     else:
-        if m <= k and m >= max(2, 4 * (d - 1)):
-            regions.append(("low-tail", _rhs_low_tail(d, k, m)))
-        if m >= k + 6 * d - 3:
-            regions.append(("high-tail", _rhs_high_tail(d, k, m)))
-        if d == 1 and m - k in (1, 2):
-            regions.append(("middle", [fat_hook(k + 2, k, m - 2)]))
-        if d == 2 and 1 <= m - k <= 8 and k >= 6:
-            regions.append(("delta", _rhs_delta(k, m - k)))
-    if not regions:
         raise ValueError(f"no applicable closed form for (d, k, m) = {(d, k, m)}")
-    for name, shapes in regions:
-        if any(s is None for s in shapes):
-            raise ValueError(f"region {name} produced a non-partition shape at {(d, k, m)}")
-    terms = ladder_sum_terms(k, m, 2 * d + 1)
-    first_name, first_shapes = regions[0]
-    terms += _partition_terms("R", first_shapes)
-    report = Report(
+    if any(s is None for s in shapes):
+        raise ValueError(f"region {regime} produced a non-partition shape at {(d, k, m)}")
+    return Report(
         id="ladder",
         params={"d": d, "k": k, "m": m},
-        terms=terms,
-        regime=first_name,
+        terms=ladder_sum_terms(k, m, 2 * d + 1) + _partition_terms("R", shapes),
+        regime=regime,
     )
-    lhs = report.lhs
-    for name, shapes in regions[1:]:
-        value = sum(degree(s) for s in shapes)
-        report.checks[f"region {name} agrees"] = value == lhs
-        report.extra[f"rhs_{name}"] = value
-    return report
 
 
 def verify_analytic_ladder(d: int, k: int, m: int) -> Report:
@@ -344,15 +338,14 @@ def verify_expansion(n: int, k: int) -> Report:
     (m+2j, k, k-2j) for j = 0..floor(k/2), with m = n - 2k.
 
     The raw expansion holds for any (n, k) with m >= 2.  When k is small
-    (k <= ceil(n/3)) or of the same parity as n, the summands whose argument
-    triple is not a partition cancel or vanish, leaving exactly the
-    same-parity family sum; both facts are recorded as checks, so calls
-    outside that regime yield a failing report rather than an error.
+    (k <= ceil(n/3)) or of the same parity as n (not swapped(n, k)), the
+    summands whose argument triple is not a partition cancel or vanish, so
+    the same-parity family sum is left; both facts are recorded as checks,
+    and calls outside that regime yield a failing report, not an error.
     """
     m = n - 2 * k
     if k < 1 or m < 2:
         raise ValueError(f"need k >= 1 and n - 2k >= 2, got n={n}, k={k}")
-    in_regime = k <= (n + 2) // 3 or n % 2 == k % 2
     terms = _fat_hook_terms("L", [(k, k, m), (k + 1, k + 1, m - 2)])
     analytic_sum = 0
     for j in range(k // 2 + 1):
@@ -368,7 +361,7 @@ def verify_expansion(n: int, k: int) -> Report:
         id="expansion",
         params={"n": n, "k": k},
         terms=terms,
-        regime="standard" if in_regime else "outside validity regime",
+        regime="outside validity regime" if swapped(n, k) else "standard",
         extra={"analytic_term_sum": analytic_sum},
     )
     x1_sum = sum(degree(p) for p in second_part_family(n, k, True))
@@ -393,11 +386,15 @@ def verify_hook_wrap(mu, k: int) -> Report:
     For k >= 2 the signed sum vanishes (the underlying virtual character
     dies on permutations without a k-cycle, in particular the identity).
     For k = 1 every permutation has a fixed point and no vanishing occurs;
-    the report simply records the nonzero sum.
+    the report simply records the nonzero sum.  A call whose work bound
+    exceeds MAX_HOOK_WRAP_WORK is refused before any rim hook is added.
     """
     mu = make_partition(mu)
     if k < 1:
         raise ValueError("need k >= 1")
+    work = (len(mu) + k) * (sum(mu) + k)
+    if work > MAX_HOOK_WRAP_WORK:
+        raise ValueError(f"(rows + k) * (cells + k) is {work}; the limit is {MAX_HOOK_WRAP_WORK}")
     terms = [
         Term("L", sign, shape, degree(shape))
         for sign, shape in add_rim_hooks(mu, k)

@@ -4,8 +4,10 @@ from decimal import Decimal
 import pytest
 
 from conftest import assert_report_json, read_golden
+from sytknap import paths
 from sytknap.cli import VERIFIERS, main
 from sytknap.degrees import degree
+from sytknap.identities import MAX_HOOK_WRAP_WORK
 from sytknap.partitions import MAX_RIM_HOOK_CELLS, MAX_SHAPE_CELLS
 
 
@@ -62,6 +64,14 @@ class TestPathsCommand:
         code, out, _ = run_cli(capsys, "paths", "--kind", "riordan", "--n", "4", "--list")
         assert code == 0 and out.splitlines() == ["UDUD", "UFFD", "UUDD"]
 
+    def test_list_over_budget_is_usage_error(self, capsys, monkeypatch):
+        # dyck n = 14 has one path more than the patched budget
+        limit = paths.count_paths(paths.PathKind.DYCK, 14) - 1
+        monkeypatch.setattr(paths, "MAX_LISTED_PATHS", limit)
+        code, out, err = run_cli(capsys, "paths", "--kind", "dyck", "--n", "14", "--list")
+        assert code == 2 and out == ""
+        assert err == f"error: dyck n=14 has more than {limit} paths to list\n"
+
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys):
@@ -78,6 +88,12 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--id", "hookwrap", "--mu", "3,1", "--k", f"{k}")
         assert code == 2 and out == ""
         assert err == f"error: rim hook has {k} cells; the limit is {MAX_RIM_HOOK_CELLS}\n"
+
+    def test_hookwrap_work_over_budget_is_usage_error(self, capsys):
+        # 9000 one-cell rows at k = 1000 ran for about 45 s before the budget
+        code, out, err = run_cli(capsys, "verify", "--id", "hookwrap", "--mu", "1^9000", "--k", "1000")
+        assert code == 2 and out == ""
+        assert err == f"error: (rows + k) * (cells + k) is 100000000; the limit is {MAX_HOOK_WRAP_WORK}\n"
 
     def test_json_past_the_str_digit_limit(self, capsys):
         argv = ("verify", "--id", "hookwrap", "--mu", "100^100", "--k", "2", "--format", "json")
@@ -237,3 +253,63 @@ class TestOutFile(object):
         code, out, _ = run_cli(capsys, "table", "--id", "ladder-n35", "--out", "t.txt")
         assert code == 0
         assert (tmp_path / "t.txt").read_text() == out
+
+    def test_absolute_out_ignores_out_dir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SYTKNAP_OUT_DIR", str(tmp_path / "missing"))
+        target = tmp_path / "d.txt"
+        code, out, _ = run_cli(capsys, "degree", "--shape", "3,2", "--out", str(target))
+        assert code == 0 and out == "5\n" and target.read_text() == out
+
+    @pytest.mark.parametrize("where", ["missing/x.txt", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, monkeypatch, where):
+        monkeypatch.setenv("SYTKNAP_OUT_DIR", str(tmp_path))
+        code, out, err = run_cli(capsys, "degree", "--shape", "3,2", "--out", where)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
+
+ANALYTIC_ERROR = "total -8 < 0: leading factorial undefined"
+
+
+class TestPinnedText:
+    def test_analytic_terms(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--id", "analytic", "--d", "2", "--k", "3", "--m", "9")
+        assert (code, err) == (0, "")
+        assert out == (
+            "analytic-ladder d=2 k=3 m=9 [analytic] -> PASS\n"
+            "  e2(3,3;9) + e2(4,4;7) + e2(5,5;5) + e2(6,6;3) + e2(7,7;1)"
+            " = e2(7,3;5) + e3(3,3,9) + e3(5,3,7) + e3(5,5,5)\n"
+            "  83006 = 83006\n"
+        )
+
+    def test_analytic_error(self, capsys):
+        argv = ("verify", "--id", "analytic", "--d", "1", "--k", "-5", "--m", "2")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out == f"analytic-ladder d=1 k=-5 m=2 -> FAIL\n  error: {ANALYTIC_ERROR}\n"
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (1, "")
+        report = {
+            "id": "analytic-ladder",
+            "params": {"d": 1, "k": -5, "m": 2},
+            "lhs": "0",
+            "rhs": "0",
+            "pass": False,
+            "regime": "",
+            "terms": [],
+            "error": ANALYTIC_ERROR,
+        }
+        assert out == json.dumps([report], indent=2) + "\n"
+
+    def test_expansion_failed_checks(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--id", "expansion", "--n", "30", "--k", "11")
+        assert (code, err) == (1, "")
+        assert out == (
+            "expansion n=30 k=11 [outside validity regime] -> FAIL\n"
+            "  f(11,11,1^8) + f(12,12,1^6) = e3(8,11,11) + e3(10,11,9)"
+            " + f(12,11,7) + f(14,11,5) + f(16,11,3) + f(18,11,1)\n"
+            "  175858025070 = 175858025070\n"
+            "  check non-partition values cancel: FAILED\n"
+            "  check matches same-parity family sum: FAILED\n"
+        )

@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 
 from conftest import assert_report_json
+from sytknap import identities
 from sytknap.degrees import degree
 from sytknap.identities import (
     Report,
@@ -145,6 +146,29 @@ class TestLadder:
         assert len(analytic) == 2 and all(t.value == 0 for t in analytic)
         assert rep.passed
 
+    def test_regions_are_disjoint(self):
+        # the five regions restated: at most one holds at any point, and
+        # where one holds the report's regime names it
+        for d in range(-1, 5):
+            for k in range(-1, 30):
+                for m in range(-1, 45):
+                    regions = {
+                        "trivial": d == 0,
+                        "low-tail": d >= 1 and m <= k and m >= max(2, 4 * (d - 1)),
+                        "high-tail": d >= 1 and m >= k + 6 * d - 3,
+                        "middle": d == 1 and 1 <= m - k <= 2,
+                        "delta": d == 2 and 1 <= m - k <= 8 and k >= 6,
+                    }
+                    held = [name for name, holds in regions.items() if holds]
+                    assert len(held) <= 1, (d, k, m, held)
+                    if d < 0 or k < 2 or m < 2:
+                        continue
+                    if held:
+                        assert verify_ladder(d, k, m).regime == held[0], (d, k, m)
+                    else:
+                        with pytest.raises(ValueError, match="no applicable closed form"):
+                            verify_ladder(d, k, m)
+
 
 class TestAnalyticLadder:
     def test_small_instance(self):
@@ -269,6 +293,19 @@ class TestHookWrap:
     def test_rejects_k_over_budget(self):
         with pytest.raises(ValueError, match="rim hook has 1001 cells; the limit is 1000"):
             verify_hook_wrap((3, 1), MAX_RIM_HOOK_CELLS + 1)
+
+    def test_work_budget(self, monkeypatch):
+        # (3,1) at k = 6: (2 + 6) * (4 + 6) = 80
+        monkeypatch.setattr(identities, "MAX_HOOK_WRAP_WORK", 80)
+        assert verify_hook_wrap((3, 1), 6).passed
+        monkeypatch.setattr(identities, "MAX_HOOK_WRAP_WORK", 79)
+
+        def never(*args):
+            raise AssertionError("add_rim_hooks ran past the budget")
+
+        monkeypatch.setattr(identities, "add_rim_hooks", never)
+        with pytest.raises(ValueError, match=r"^\(rows \+ k\) \* \(cells \+ k\) is 80; the limit is 79$"):
+            verify_hook_wrap((3, 1), 6)
 
     def test_k1_does_not_vanish(self):
         # a single box never has a leg, so all signs are +1 and the sum is

@@ -1,5 +1,6 @@
 import pytest
 
+from sytknap import paths
 from sytknap.degrees import degree
 from sytknap.partitions import fat_hook, pad, partitions
 from sytknap.paths import (
@@ -47,6 +48,28 @@ class TestEnumeration:
     def test_bound(self):
         with pytest.raises(ValueError):
             enumerate_paths(PathKind.MOTZKIN, 17)
+
+    def test_listing_budget(self, monkeypatch):
+        # the budget counts paths: dyck n = 13 fits, n = 14 does not, and a
+        # patched budget one short of dyck n = 14 refuses it unbuilt
+        assert count_paths(PathKind.DYCK, 13) <= paths.MAX_LISTED_PATHS < count_paths(PathKind.DYCK, 14)
+        limit = count_paths(PathKind.DYCK, 14) - 1
+        monkeypatch.setattr(paths, "MAX_LISTED_PATHS", limit)
+        with pytest.raises(ValueError, match=f"^dyck n=14 has more than {limit} paths to list$"):
+            enumerate_paths(PathKind.DYCK, 14)
+        monkeypatch.setattr(paths, "MAX_LISTED_PATHS", count_paths(PathKind.DYCK, 5))
+        assert len(enumerate_paths(PathKind.DYCK, 5)) == 42
+        with pytest.raises(ValueError):
+            enumerate_paths(PathKind.DYCK, 6)
+
+    def test_long_listing_refused_without_counting(self, monkeypatch):
+        def never(kind, n):
+            raise AssertionError("count_paths ran past length 28")
+
+        monkeypatch.setattr(paths, "count_paths", never)
+        for kind, n in [(PathKind.DYCK, 15), (PathKind.MOTZKIN, 29), (PathKind.RIORDAN, 10**9)]:
+            with pytest.raises(ValueError, match="paths to list"):
+                enumerate_paths(kind, n)
 
     def test_riordan_subset_of_motzkin(self):
         for n in range(9):
