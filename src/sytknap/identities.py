@@ -149,6 +149,41 @@ def _fat_hook_terms(side: str, triples) -> list[Term]:
     return _partition_terms(side, [s for s in shapes if s is not None])
 
 
+def _closed_form_terms(side: str, kind: str, triples) -> list[Term]:
+    """Terms valued by the closed form of `kind` ("fat-hook" or "three-row")
+    at each triple.  A triple that is a shape prints as a partition term;
+    any other keeps its raw arguments and `kind`.  The fat-hook form is
+    singular at the one-row shape (x, 0, 0); every caller has k >= 2, so
+    no fat-hook triple here is that shape."""
+    fat = kind == "fat-hook"
+    shape_of, value_of = (fat_hook, fat_hook_value) if fat else (three_row, three_row_value)
+    terms = []
+    for args in triples:
+        shape, value = shape_of(*args), value_of(*args)
+        if shape is not None:
+            terms.append(Term(side, 1, shape, value))
+        else:
+            terms.append(Term(side, 1, args, value, kind=kind))
+    return terms
+
+
+def _ladder_args(k: int, m: int, count: int) -> list[tuple[int, int, int]]:
+    """The fat-hook triples (k+j, k+j, m-2j) for j = 0..count-1: the ladder
+    of `count` consecutive fat hooks.  At count = 2 it is the equal-width
+    pair f(k,k,1^m) + f(k+1,k+1,1^(m-2)) of the main identity."""
+    return [(k + j, k + j, m - 2 * j) for j in range(count)]
+
+
+def _ladder_lead(d: int, k: int, m: int) -> tuple[int, int, int]:
+    """The fat-hook triple leading the odd ladder's right side in every region."""
+    return (k + 2 * d, k, m - 2 * d)
+
+
+def _triangle(d: int, k: int, m: int) -> list[tuple[int, int, int]]:
+    """The odd ladder's three-row tail, r-major over 0 <= j <= r < d."""
+    return [(k + 2 * r, k + 2 * j, m - 2 * (r + j)) for r in range(d) for j in range(r + 1)]
+
+
 def swapped(n: int, k: int) -> bool:
     """Single regime predicate: the two equations trade sides exactly when
     the second part is large (k > ceil(n/3)) and of opposite parity to n."""
@@ -175,8 +210,7 @@ def verify_knapsack(n: int, k: int) -> tuple[Report, Report]:
     eq1 = Report(
         id="knapsack-eq1",
         params={"n": n, "k": k},
-        terms=_partition_terms("L", pair_side)
-        + _fat_hook_terms("R", [(k, k, m), (k + 1, k + 1, m - 2)]),
+        terms=_partition_terms("L", pair_side) + _fat_hook_terms("R", _ladder_args(k, m, 2)),
         regime=regime,
         note=f"left side: {pair_label}-parity family",
         lhs_pad=3,
@@ -231,38 +265,14 @@ def _equal_parity(p: Partition) -> bool:
 
 def ladder_sum_terms(k: int, m: int, count: int) -> list[Term]:
     """Left side of a ladder identity: fat hooks (k+j, k+j, 1^(m-2j)) for
-    j = 0..count-1, where shapes with negative tails contribute their
-    (vanishing) analytic value."""
-    terms = []
-    for j in range(count):
-        shape = fat_hook(k + j, k + j, m - 2 * j)
-        if shape is not None:
-            terms.append(Term("L", 1, shape, degree(shape)))
-        else:
-            value = fat_hook_value(k + j, k + j, m - 2 * j)
-            terms.append(Term("L", 1, (k + j, k + j, m - 2 * j), value, kind="fat-hook"))
-    return terms
-
-
-def _rhs_low_tail(d: int, k: int, m: int) -> list[tuple]:
-    shapes = [fat_hook(k + 2 * d, k, m - 2 * d)]
-    for r in range(d):
-        for j in range(r + 1):
-            shapes.append(three_row(k + 2 * r, k + 2 * j, m - 2 * (r + j)))
-    return shapes
-
-
-def _rhs_high_tail(d: int, k: int, m: int) -> list[tuple]:
-    shapes = [fat_hook(k + 2 * d, k, m - 2 * d)]
-    for r in range(d):
-        for j in range(r + 1):
-            shapes.append(three_row(m - 2 * (r + j + 1), k + 2 * r + 1, k + 2 * j + 1))
-    return shapes
+    j = 0..count-1, each valued by the fat-hook closed form; shapes with
+    negative tails keep their raw arguments (their values vanish).  Needs
+    k >= 1, where no term is the singular one-row shape."""
+    return _closed_form_terms("L", "fat-hook", _ladder_args(k, m, count))
 
 
 def _rhs_delta(k: int, delta: int) -> list[tuple]:
-    m = k + delta
-    lead = fat_hook(k + 4, k, m - 4)
+    """The tail of the d = 2 ladder at m = k + delta, 1 <= delta <= 8."""
     tails = {
         1: [three_row(k + 2, k, k - 1), three_row(k + 2, k + 2, k - 3)],
         2: [three_row(k + 2, k, k), three_row(k + 2, k + 2, k - 2)],
@@ -273,7 +283,7 @@ def _rhs_delta(k: int, delta: int) -> list[tuple]:
         7: [three_row(k + 5, k + 1, k + 1), three_row(k + 3, k + 3, k + 1)],
         8: [three_row(k + 6, k + 1, k + 1), three_row(k + 4, k + 3, k + 1)],
     }
-    return [lead] + tails[delta]
+    return tails[delta]
 
 
 def verify_ladder(d: int, k: int, m: int) -> Report:
@@ -285,17 +295,20 @@ def verify_ladder(d: int, k: int, m: int) -> Report:
     if d < 0 or k < 2 or m < 2:
         raise ValueError(f"need d >= 0 and k, m >= 2, got {(d, k, m)}")
     if d == 0:
-        regime, shapes = "trivial", [fat_hook(k, k, m)]
+        regime, tail = "trivial", []
     elif max(2, 4 * (d - 1)) <= m <= k:
-        regime, shapes = "low-tail", _rhs_low_tail(d, k, m)
+        regime, tail = "low-tail", [three_row(*t) for t in _triangle(d, k, m)]
     elif m >= k + 6 * d - 3:
-        regime, shapes = "high-tail", _rhs_high_tail(d, k, m)
+        # the low-tail triangle under the rotation certify_argument_rotation proves
+        tail = [three_row(z - 2, x + 1, y + 1) for x, y, z in _triangle(d, k, m)]
+        regime = "high-tail"
     elif d == 1 and m - k in (1, 2):
-        regime, shapes = "middle", [fat_hook(k + 2, k, m - 2)]
+        regime, tail = "middle", []
     elif d == 2 and 1 <= m - k <= 8 and k >= 6:
-        regime, shapes = "delta", _rhs_delta(k, m - k)
+        regime, tail = "delta", _rhs_delta(k, m - k)
     else:
         raise ValueError(f"no applicable closed form for (d, k, m) = {(d, k, m)}")
+    shapes = [fat_hook(*_ladder_lead(d, k, m))] + tail
     if any(s is None for s in shapes):
         raise ValueError(f"region {regime} produced a non-partition shape at {(d, k, m)}")
     return Report(
@@ -316,17 +329,11 @@ def verify_analytic_ladder(d: int, k: int, m: int) -> Report:
     if d < 0:
         raise ValueError("need d >= 0")
     params = {"d": d, "k": k, "m": m}
+    ladder, lead, tail = _ladder_args(k, m, 2 * d + 1), _ladder_lead(d, k, m), _triangle(d, k, m)
     try:
-        terms = []
-        for j in range(2 * d + 1):
-            args = (k + j, k + j, m - 2 * j)
-            terms.append(Term("L", 1, args, fat_hook_value(*args), kind="fat-hook"))
-        args = (k + 2 * d, k, m - 2 * d)
-        terms.append(Term("R", 1, args, fat_hook_value(*args), kind="fat-hook"))
-        for r in range(d):
-            for j in range(r + 1):
-                args = (k + 2 * r, k + 2 * j, m - 2 * (r + j))
-                terms.append(Term("R", 1, args, three_row_value(*args), kind="three-row"))
+        terms = [Term("L", 1, t, fat_hook_value(*t), kind="fat-hook") for t in ladder]
+        terms.append(Term("R", 1, lead, fat_hook_value(*lead), kind="fat-hook"))
+        terms += [Term("R", 1, t, three_row_value(*t), kind="three-row") for t in tail]
     except ValueError as exc:
         return Report(id="analytic-ladder", params=params, terms=[], error=str(exc))
     return Report(id="analytic-ladder", params=params, terms=terms, regime="analytic")
@@ -346,17 +353,10 @@ def verify_expansion(n: int, k: int) -> Report:
     m = n - 2 * k
     if k < 1 or m < 2:
         raise ValueError(f"need k >= 1 and n - 2k >= 2, got n={n}, k={k}")
-    terms = _fat_hook_terms("L", [(k, k, m), (k + 1, k + 1, m - 2)])
-    analytic_sum = 0
-    for j in range(k // 2 + 1):
-        args = (m + 2 * j, k, k - 2 * j)
-        shape = three_row(*args)
-        value = three_row_value(*args)
-        if shape is not None:
-            terms.append(Term("R", 1, shape, value))
-        else:
-            terms.append(Term("R", 1, args, value, kind="three-row"))
-            analytic_sum += value
+    triples = [(m + 2 * j, k, k - 2 * j) for j in range(k // 2 + 1)]
+    terms = _fat_hook_terms("L", _ladder_args(k, m, 2))
+    terms += _closed_form_terms("R", "three-row", triples)
+    analytic_sum = sum(t.value for t in terms if t.kind != "partition")
     report = Report(
         id="expansion",
         params={"n": n, "k": k},
@@ -375,8 +375,7 @@ def verify_boundary(k: int, m: int) -> Report:
     intermediate hook: f(k,k,1^m) + f(k+1,k+1,1^(m-2)) = f(k+1,k,1^(m-1))."""
     if k < 1 or m < 1 or abs(k - m) != 1:
         raise ValueError(f"need k, m >= 1 with k = m +- 1, got {(k, m)}")
-    terms = _fat_hook_terms("L", [(k, k, m), (k + 1, k + 1, m - 2)])
-    terms += _fat_hook_terms("R", [(k + 1, k, m - 1)])
+    terms = _fat_hook_terms("L", _ladder_args(k, m, 2)) + _fat_hook_terms("R", [(k + 1, k, m - 1)])
     return Report(id="boundary", params={"k": k, "m": m}, terms=terms)
 
 

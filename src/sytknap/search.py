@@ -37,14 +37,9 @@ def build_pool(n: int, families=("3part", "fathook")) -> Pool:
         if family == "3part":
             shapes.update(partitions(n, 3))
         elif family == "fathook":
-            for k in range(1, n // 2 + 1):
-                shape = fat_hook(k, k, n - 2 * k)
-                if shape is not None:
-                    shapes.add(shape)
-            for k in range(1, (n - 1) // 2 + 1):
-                shape = fat_hook(k + 1, k, n - 2 * k - 1)
-                if shape is not None:
-                    shapes.add(shape)
+            # b = k >= 1 and the tail t >= 0, so every triple is a shape
+            shapes.update(fat_hook(k, k, n - 2 * k) for k in range(1, n // 2 + 1))
+            shapes.update(fat_hook(k + 1, k, n - 2 * k - 1) for k in range(1, (n - 1) // 2 + 1))
         elif family == "rows4":
             shapes.update(partitions(n, 4))
         else:

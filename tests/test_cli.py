@@ -8,7 +8,9 @@ from sytknap import paths
 from sytknap.cli import VERIFIERS, main
 from sytknap.degrees import degree
 from sytknap.identities import MAX_HOOK_WRAP_WORK
-from sytknap.partitions import MAX_RIM_HOOK_CELLS, MAX_SHAPE_CELLS
+from sytknap.partitions import MAX_RIM_HOOK_CELLS, MAX_SHAPE_CELLS, branching_children, partitions
+from sytknap.paths import catalan_number, syt_row_bounded_count
+from sytknap.render import render_table
 
 
 def run_cli(capsys, *args):
@@ -245,6 +247,41 @@ class TestScanCommand:
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--k", "5", "--m", "5", "--dmax", "2", "--format", "text")
         assert code == 0 and "d=0" in out and "d=2" in out
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--id", "riordan", "--n", "0"),
+            ("verify", "--id", "catalan-pair", "--m", "1"),
+            ("verify", "--id", "analytic", "--d", "-1", "--k", "3", "--m", "2"),
+            ("verify", "--id", "hookwrap", "--mu", "3,1", "--k", "0"),
+            ("search", "--n", "0"),
+            ("paths", "--kind", "dyck", "--n", "-1"),
+            ("paths", "--kind", "dyck", "--n", "-1", "--list"),
+        ],
+        ids=["riordan", "catalan-pair", "analytic", "hookwrap", "search", "paths", "paths-list"],
+    )
+    def test_cli_guard_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "call, args, message",
+        [
+            (lambda n: list(partitions(n)), (-1,), "cannot partition a negative integer"),
+            (branching_children, ((),), "the empty partition has no boxes"),
+            (catalan_number, (-1,), "Catalan numbers start at n = 0"),
+            (syt_row_bounded_count, (3, 0), "need n >= 0 and max_rows >= 1"),
+            (render_table, ("nope",), "unknown table 'nope'"),
+        ],
+        ids=["partitions", "branching_children", "catalan_number", "syt_row_bounded_count", "render_table"],
+    )
+    def test_library_guard_raises(self, call, args, message):
+        with pytest.raises(ValueError, match=message):
+            call(*args)
 
 
 class TestOutFile(object):

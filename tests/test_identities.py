@@ -212,6 +212,70 @@ class TestAnalyticLadder:
         assert rep.error and not rep.passed
 
 
+def _fails(verify, *args) -> bool:
+    """True when the report fails or the call raises the non-partition error."""
+    try:
+        return not verify(*args).passed
+    except ValueError as exc:
+        assert "non-partition shape" in str(exc), exc
+        return True
+
+
+# one call per report built from the triangle, by region
+TRIANGLE_CALLS = [
+    (verify_ladder, (2, 10, 4), "low-tail"),
+    (verify_ladder, (3, 12, 9), "low-tail"),
+    (verify_ladder, (1, 7, 21), "high-tail"),
+    (verify_ladder, (2, 5, 15), "high-tail"),
+    (verify_analytic_ladder, (1, 4, 11), "analytic"),
+    (verify_analytic_ladder, (3, 6, 10), "analytic"),
+]
+
+
+class TestLadderVerifiersCanFail:
+    """The ladder reports catch a wrong argument list: each mutation below
+    breaks the identity and must turn its report into a failure."""
+
+    @pytest.mark.parametrize("verify, args, regime", TRIANGLE_CALLS)
+    def test_unmutated_calls_pass_in_their_region(self, verify, args, regime):
+        rep = verify(*args)
+        assert rep.passed and rep.regime == regime
+
+    @pytest.mark.parametrize("verify, args, regime", TRIANGLE_CALLS)
+    def test_triangle_missing_its_last_triple(self, monkeypatch, verify, args, regime):
+        triangle = identities._triangle
+        monkeypatch.setattr(identities, "_triangle", lambda d, k, m: triangle(d, k, m)[:-1])
+        assert _fails(verify, *args)
+
+    @pytest.mark.parametrize("verify, args, regime", TRIANGLE_CALLS)
+    def test_triangle_argument_off_by_one(self, monkeypatch, verify, args, regime):
+        triangle = identities._triangle
+
+        def shifted(d, k, m):
+            (x, y, z), *rest = triangle(d, k, m)
+            return [(x, y, z + 1)] + rest
+
+        monkeypatch.setattr(identities, "_triangle", shifted)
+        assert _fails(verify, *args)
+
+    @pytest.mark.parametrize(
+        "verify, args",
+        [
+            (verify_ladder, (0, 5, 7)),
+            (verify_ladder, (1, 14, 7)),
+            (verify_ladder, (1, 11, 13)),
+            (verify_ladder, (1, 7, 21)),
+            (verify_ladder, (2, 6, 10)),
+            (verify_analytic_ladder, (2, 8, 9)),
+        ],
+        ids=["trivial", "low-tail", "middle", "high-tail", "delta", "analytic"],
+    )
+    def test_ladder_one_term_short(self, monkeypatch, verify, args):
+        ladder_args = identities._ladder_args
+        monkeypatch.setattr(identities, "_ladder_args", lambda k, m, count: ladder_args(k, m, count - 1))
+        assert _fails(verify, *args)
+
+
 class TestExpansion:
     def test_n13_k5_vanishing_term(self):
         rep = verify_expansion(13, 5)

@@ -299,3 +299,23 @@ class TestScan:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             scan_even_ladders(1, 5, 2)
+
+    @staticmethod
+    def restated_value(k, m, d):
+        # the even ladder as hook-product degrees; every tail here is >= 0
+        return sum(degree((k + j, k + j) + (1,) * (m - 2 * j)) for j in range(d))
+
+    def test_single_three_row_candidates(self):
+        rows = scan_even_ladders(2, 6, 4)
+        assert [(r.d, r.candidates) for r in rows] == [(0, []), (2, ["-f(6,4)"]), (4, ["+f(4,4,2)"])]
+        for r in rows[1:]:
+            assert r.note == "residual is a single three-row degree"
+            assert r.value == self.restated_value(2, 6, r.d)
+            assert r.residual == r.value - degree(r.probe_shape)
+        assert rows[1].residual == -degree((6, 4)) and rows[2].residual == degree((4, 4, 2))
+
+    def test_probe_matches_exactly(self):
+        rows = scan_even_ladders(12, 10, 2)
+        d2 = rows[1]
+        assert d2.note == "probe matches exactly" and d2.residual == 0 and d2.candidates == []
+        assert d2.value == self.restated_value(12, 10, 2) == degree((14, 12) + (1,) * 8)
