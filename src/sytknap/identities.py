@@ -7,6 +7,7 @@ tolerances anywhere.
 """
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .degrees import degree, fat_hook_value, three_row_value
 from .partitions import (
@@ -16,6 +17,7 @@ from .partitions import (
     make_partition,
     pad,
     partitions,
+    rim_hook_count,
     second_part_family,
     square_two_tail_partitions,
     three_row,
@@ -68,10 +70,17 @@ class Report:
         return not self.error and self.lhs == self.rhs and all(self.checks.values())
 
 
-# verify_hook_wrap's budget on (rows + k) * (cells + k), which bounds the
-# resulting shapes times their cells; the slowest case measured under it,
-# the staircase (51, 50, ..., 1) at k = 1000, takes 2-3 s on a 2-core VM
-MAX_HOOK_WRAP_WORK = 2_500_000
+# verify_hook_wrap's budget on hooks * n * isqrt(n): the rim hooks that can
+# be added, each giving a shape of n = cells + k cells whose hook product
+# costs about n^1.5.  The slowest case measured under it, the column 1^10000
+# at k = 58, takes 2.4 s on a 2-core VM; the staircase (51, 50, ..., 1) is
+# accepted up to k = 679 (1.3 s)
+MAX_HOOK_WRAP_WORK = 60_000_000
+
+# verify_analytic_ladder's budget on its terms, d(d+1)/2 + 2d + 2, so
+# d <= 197: at k = 3, m = 4d that takes 1.3 s on a 2-core VM, where d = 300
+# (45 752 terms) took 8.5 s
+MAX_ANALYTIC_TERMS = 20_000
 
 # str() takes integers of up to this many bits: under 640 digits, the lowest
 # sys.int_max_str_digits Python accepts
@@ -235,6 +244,7 @@ def verify_riordan(n: int) -> list[Report]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    riordan = count_paths(PathKind.RIORDAN, n)  # first: it refuses an n past its budget
     reports = []
     per_k_total = 0
     for k in range(n % 2, n // 2 + 1, 2):
@@ -243,7 +253,6 @@ def verify_riordan(n: int) -> list[Report]:
         reports.append(rep)
     x_family = [p for p in partitions(n, 3) if _equal_parity(p)]
     y_family = [fat_hook(k, k, n - 2 * k) for k in range(1, n // 2 + 1)]
-    riordan = count_paths(PathKind.RIORDAN, n)
     total = Report(
         id="riordan-total",
         params={"n": n},
@@ -324,10 +333,15 @@ def verify_analytic_ladder(d: int, k: int, m: int) -> Report:
     valid for arbitrary integers: sum of 2d+1 fat-hook values equals the
     leading fat-hook value plus a triangle of three-row values.
 
-    Singular arguments are reported in the `error` field, not raised.
+    Singular arguments are reported in the `error` field, not raised.  A
+    call of more than MAX_ANALYTIC_TERMS terms is refused before any is
+    built.
     """
     if d < 0:
         raise ValueError("need d >= 0")
+    terms = d * (d + 1) // 2 + 2 * d + 2
+    if terms > MAX_ANALYTIC_TERMS:
+        raise ValueError(f"analytic ladder d={d} has {terms} terms; the limit is {MAX_ANALYTIC_TERMS}")
     params = {"d": d, "k": k, "m": m}
     ladder, lead, tail = _ladder_args(k, m, 2 * d + 1), _ladder_lead(d, k, m), _triangle(d, k, m)
     try:
@@ -391,9 +405,12 @@ def verify_hook_wrap(mu, k: int) -> Report:
     mu = make_partition(mu)
     if k < 1:
         raise ValueError("need k >= 1")
-    work = (len(mu) + k) * (sum(mu) + k)
+    hooks, size = rim_hook_count(mu, k), sum(mu) + k
+    work = hooks * size * isqrt(size)
     if work > MAX_HOOK_WRAP_WORK:
-        raise ValueError(f"(rows + k) * (cells + k) is {work}; the limit is {MAX_HOOK_WRAP_WORK}")
+        raise ValueError(
+            f"{hooks} rim hooks of {size}-cell shapes: work {work}; the limit is {MAX_HOOK_WRAP_WORK}"
+        )
     terms = [
         Term("L", sign, shape, degree(shape))
         for sign, shape in add_rim_hooks(mu, k)

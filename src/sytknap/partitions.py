@@ -88,6 +88,27 @@ def branching_children(p: Partition) -> list[Partition]:
     return children
 
 
+def _beta_numbers(p: Partition, size: int) -> list[int]:
+    """The first-column hook lengths of p padded to len(p) + size rows, the
+    beta numbers a rim hook of `size` cells moves; a size of more than
+    MAX_RIM_HOOK_CELLS is refused before any is built."""
+    if size < 1:
+        raise ValueError("rim hook size must be positive")
+    if size > MAX_RIM_HOOK_CELLS:
+        raise ValueError(f"rim hook has {size} cells; the limit is {MAX_RIM_HOOK_CELLS}")
+    rows = len(p) + size
+    return [(p[i] if i < len(p) else 0) + (rows - 1 - i) for i in range(rows)]
+
+
+def rim_hook_count(p: Partition, size: int) -> int:
+    """The number of rim hooks of `size` cells that can be added to p, the
+    length of add_rim_hooks(p, size): the beta numbers b with b + size not
+    a beta number.  Refuses what add_rim_hooks refuses."""
+    beta = _beta_numbers(p, size)
+    beta_set = set(beta)
+    return sum(1 for b in beta if b + size not in beta_set)
+
+
 def add_rim_hooks(p: Partition, size: int) -> list[tuple[int, Partition]]:
     """All ways to add one connected rim hook of `size` cells, with sign.
 
@@ -97,12 +118,8 @@ def add_rim_hooks(p: Partition, size: int) -> list[tuple[int, Partition]]:
     jumped over.  Sorted lex descending by resulting partition.  A hook of
     more than MAX_RIM_HOOK_CELLS cells is refused with ValueError.
     """
-    if size < 1:
-        raise ValueError("rim hook size must be positive")
-    if size > MAX_RIM_HOOK_CELLS:
-        raise ValueError(f"rim hook has {size} cells; the limit is {MAX_RIM_HOOK_CELLS}")
-    rows = len(p) + size
-    beta = [(p[i] if i < len(p) else 0) + (rows - 1 - i) for i in range(rows)]
+    beta = _beta_numbers(p, size)
+    rows = len(beta)
     beta_set = set(beta)
     out = []
     for b in beta:

@@ -16,6 +16,11 @@ from .partitions import partitions
 # n = 13 (742 900), take 2-3 s and 140-160 MB via the CLI on a 2-core VM
 MAX_LISTED_PATHS = 1_000_000
 
+# count_paths refuses longer paths before its O(length^2) big-integer DP:
+# the longest accepted, motzkin and riordan n = 2000, take about 2 s on a
+# 2-core VM (motzkin n = 3000 took 4.5-6 s)
+MAX_PATH_LENGTH = 2_000
+
 
 class PathKind(Enum):
     DYCK = "dyck"
@@ -28,10 +33,14 @@ def _length(kind: PathKind, n: int) -> int:
 
 
 def count_paths(kind: PathKind, n: int) -> int:
-    """Exact path count via dynamic programming over (position, height)."""
+    """Exact path count via dynamic programming over (position, height).
+    Paths of more than MAX_PATH_LENGTH steps are refused with ValueError
+    before the DP starts."""
     if n < 0:
         raise ValueError("path length must be nonnegative")
     length = _length(kind, n)
+    if length > MAX_PATH_LENGTH:
+        raise ValueError(f"{kind.value} n={n} has paths of {length} steps; the limit is {MAX_PATH_LENGTH}")
     dp = [1] + [0] * length
     for _ in range(length):
         new = [0] * (length + 1)

@@ -5,7 +5,9 @@ a found pair is interesting."""
 import gc
 from collections import defaultdict
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from itertools import combinations, product
+from math import comb
 
 from .degrees import degree
 from .identities import Report, Term, ladder_sum_terms, verify_knapsack
@@ -52,6 +54,14 @@ def build_pool(n: int, families=("3part", "fathook")) -> Pool:
 # that would take it past this many (about 2 s of join work on a 2-core VM).
 # The largest benchmark search makes 1 824 092, the README example 106 902.
 MAX_JOIN_CANDIDATES = 20_000_000
+
+# The largest side size is held whole when it has at most this many subsets
+# (an index of about 1.6 MB).  A larger one is indexed only at the sums a
+# smaller size has, and its self-join level is streamed from a heap.  That
+# saves most of a capped search's memory, but on a 2-core VM a streamed
+# subset costs about 1 us against 0.3 us held, and streaming every size
+# made the search-full benchmark, whose top sizes all fit, 17% slower.
+MAX_HELD_TOP_SUBSETS = 16_384
 
 
 @dataclass(slots=True)
@@ -130,8 +140,13 @@ def find_equal_sum_pairs(
     first when both have the same size.
 
     The search runs level by level in t and builds the size-s subsets only
-    when level s + 1 first needs them.  Three budgets stop it early and
-    return the partial, still-ranked results:
+    when level s + 1 first needs them.  The largest size, top =
+    min(max_side, pool size), is held whole only when it has at most
+    MAX_HELD_TOP_SUBSETS subsets.  Otherwise levels top + 1 ... 2 top - 1,
+    which join it only with smaller sizes, index just the top-size subsets
+    whose sum a smaller size has, and level 2 top streams them in ascending
+    sum order from a heap over the size top - 1 subsets.  Three budgets
+    stop it early and return the partial, still-ranked results:
 
     - max_evals caps the subsets enumerated, in itertools.combinations
       order by size; pairs among the subsets enumerated before the cap are
@@ -174,6 +189,7 @@ def _search(pool, max_side, max_evals, max_results):
     m = len(members)
     values = [value for _, value in members]
     top = min(max_side, m)
+    streamed = comb(m, top) > MAX_HELD_TOP_SUBSETS
     # tails[i]: (value, bit, index) of members i, i + 1, ...: what a subset
     # whose last member is i - 1 grows by, in itertools.combinations order
     tails = [[(values[j], 1 << j, j) for j in range(i, m)] for i in range(m + 1)]
@@ -194,19 +210,15 @@ def _search(pool, max_side, max_evals, max_results):
                     for total, mask, tail in frontier
                     for v, b, j in tail
                 ]
-            index = defaultdict(list)
-            for total, mask, tail in frontier:
-                if len(tail) > max_evals - enumerated:
-                    tail = tail[: max_evals - enumerated]
-                    evals_hit = True
-                for v, b, _ in tail:
-                    index[total + v].append(mask | b)
-                enumerated += len(tail)
-                if evals_hit:
-                    enumerated += 1  # the subset past the cap
-                    break
-            indexes.append(index)
-        for total, cost, buckets in _level_sums(indexes, t):
+            filtered = streamed and len(indexes) == top
+            built, evals_hit = _grow(indexes, frontier, max_evals - enumerated, filtered)
+            enumerated += built
+        if streamed and t == 2 * top and len(indexes) == top + 1:
+            indexes.clear()  # the streamed self-join reads only the frontier
+            sums = _self_join_sums(frontier)
+        else:
+            sums = _level_sums(indexes, t)
+        for total, cost, buckets in sums:
             comparisons += cost
             if comparisons > MAX_JOIN_CANDIDATES:
                 stopped_by = "max_candidates"
@@ -225,6 +237,71 @@ def _search(pool, max_side, max_evals, max_results):
     if stopped_by is None and evals_hit:
         stopped_by = "max_evals"
     return pairs, enumerated, stopped_by
+
+
+def _grow(indexes, frontier, budget, filtered):
+    """Append to indexes the sum index of the subsets one member larger than
+    the frontier's, built in itertools.combinations order until budget of
+    them are built: (subsets built, whether the budget cut enumeration).
+
+    A filtered index keeps only the sums a smaller size has: all that
+    levels top + 1 ... 2 top - 1 join a streamed top size with.  A cut
+    counts the subset past it as built and trims the frontier in place to
+    the entries walked, the last with its tail cut, which is what the
+    streamed self-join then reads.
+    """
+    wanted = set().union(*indexes[1:]) if filtered else None
+    index = defaultdict(list)
+    indexes.append(index)
+    built = 0
+    for i, (total, mask, tail) in enumerate(frontier):
+        cut = len(tail) > budget - built
+        if cut:
+            tail = tail[: budget - built]
+            frontier[i:] = [(total, mask, tail)]
+        if wanted is None:
+            for v, b, _ in tail:
+                index[total + v].append(mask | b)
+        else:
+            for v, b, _ in tail:
+                if total + v in wanted:
+                    index[total + v].append(mask | b)
+        built += len(tail)
+        if cut:
+            return built + 1, True
+    return built, False
+
+
+def _self_join_sums(frontier):
+    """The self-join of the subsets the frontier grows into, as _level_sums
+    yields it, without indexing them: a heap merges each frontier entry's
+    tail, sorted by value, so the subsets come in ascending sum order, and
+    equal sums in itertools.combinations order (frontier position, then
+    member index)."""
+    ordered = {}  # id(tail) -> (value, bit) sorted: once per shared tail
+    runs = []
+    for total, mask, tail in frontier:
+        run = ordered.get(id(tail))
+        if run is None:
+            run = ordered[id(tail)] = sorted((v, b) for v, b, _ in tail)
+        runs.append((total, mask, run))
+    heap = [(total + run[0][0], pos, 0) for pos, (total, _, run) in enumerate(runs) if run]
+    heapify(heap)
+    current, group = None, []
+    while heap:
+        total, pos, k = heap[0]
+        base, mask, run = runs[pos]
+        if k + 1 < len(run):
+            heapreplace(heap, (base + run[k + 1][0], pos, k + 1))
+        else:
+            heappop(heap)
+        if total != current:
+            if len(group) > 1:
+                yield current, len(group) * (len(group) - 1) // 2, [(group, group)]
+            current, group = total, []
+        group.append(mask | run[k][1])
+    if len(group) > 1:
+        yield current, len(group) * (len(group) - 1) // 2, [(group, group)]
 
 
 def _level_sums(indexes, t):

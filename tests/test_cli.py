@@ -4,7 +4,7 @@ from decimal import Decimal
 import pytest
 
 from conftest import assert_report_json, read_golden
-from sytknap import paths
+from sytknap import identities, paths
 from sytknap.cli import VERIFIERS, main
 from sytknap.degrees import degree
 from sytknap.identities import MAX_HOOK_WRAP_WORK
@@ -95,7 +95,41 @@ class TestVerifyCommand:
         # 9000 one-cell rows at k = 1000 ran for about 45 s before the budget
         code, out, err = run_cli(capsys, "verify", "--id", "hookwrap", "--mu", "1^9000", "--k", "1000")
         assert code == 2 and out == ""
-        assert err == f"error: (rows + k) * (cells + k) is 100000000; the limit is {MAX_HOOK_WRAP_WORK}\n"
+        assert err == (
+            f"error: 1001 rim hooks of 10000-cell shapes: work 1001000000; the limit is {MAX_HOOK_WRAP_WORK}\n"
+        )
+
+    def test_hookwrap_work_at_the_budget(self, capsys, monkeypatch):
+        # (3,1) at k = 6: 6 rim hooks of 10-cell shapes, work 6 * 10 * isqrt(10)
+        monkeypatch.setattr(identities, "MAX_HOOK_WRAP_WORK", 180)
+        code, out, _ = run_cli(capsys, "verify", "--id", "hookwrap", "--mu", "3,1", "--k", "6")
+        assert code == 0 and "0 = 0" in out
+        monkeypatch.setattr(identities, "MAX_HOOK_WRAP_WORK", 179)
+        code, out, err = run_cli(capsys, "verify", "--id", "hookwrap", "--mu", "3,1", "--k", "6")
+        assert code == 2 and out == ""
+        assert err == "error: 6 rim hooks of 10-cell shapes: work 180; the limit is 179\n"
+
+    def test_analytic_terms_over_budget_is_usage_error(self, capsys, monkeypatch):
+        # d = 2 has 9 terms; the default budget stops at d = 197
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_TERMS", 8)
+        code, out, err = run_cli(capsys, "verify", "--id", "analytic", "--d", "2", "--k", "3", "--m", "9")
+        assert code == 2 and out == ""
+        assert err == "error: analytic ladder d=2 has 9 terms; the limit is 8\n"
+        monkeypatch.undo()
+        code, out, err = run_cli(capsys, "verify", "--id", "analytic", "--d", "198", "--k", "3", "--m", "792")
+        assert code == 2 and out == ""
+        assert err == f"error: analytic ladder d=198 has 20099 terms; the limit is {identities.MAX_ANALYTIC_TERMS}\n"
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [(("paths", "--kind", "motzkin"), "motzkin"), (("verify", "--id", "riordan"), "riordan")],
+        ids=["paths", "riordan"],
+    )
+    def test_path_length_over_budget_is_usage_error(self, capsys, argv, kind):
+        n = paths.MAX_PATH_LENGTH + 1
+        code, out, err = run_cli(capsys, *argv, "--n", str(n))
+        assert code == 2 and out == ""
+        assert err == f"error: {kind} n={n} has paths of {n} steps; the limit is {paths.MAX_PATH_LENGTH}\n"
 
     def test_json_past_the_str_digit_limit(self, capsys):
         argv = ("verify", "--id", "hookwrap", "--mu", "100^100", "--k", "2", "--format", "json")

@@ -4,7 +4,7 @@ from decimal import Decimal
 import pytest
 
 from conftest import assert_report_json
-from sytknap import identities
+from sytknap import identities, paths
 from sytknap.degrees import degree
 from sytknap.identities import (
     Report,
@@ -97,6 +97,16 @@ class TestRiordan:
         for n in range(2, 41):
             for rep in verify_riordan(n):
                 assert rep.passed, (n, rep.id, rep.params)
+
+    def test_path_budget_before_the_sweep(self, monkeypatch):
+        n = paths.MAX_PATH_LENGTH + 1
+
+        def never(*args):
+            raise AssertionError("the knapsack sweep ran past the path budget")
+
+        monkeypatch.setattr(identities, "verify_knapsack", never)
+        with pytest.raises(ValueError, match=f"^riordan n={n} has paths of {n} steps;"):
+            verify_riordan(n)
 
 
 class TestLadder:
@@ -210,6 +220,32 @@ class TestAnalyticLadder:
     def test_singularity_reported_not_raised(self):
         rep = verify_analytic_ladder(2, 2, 2)
         assert rep.error and not rep.passed
+
+    def test_term_budget(self, monkeypatch):
+        # d = 2: 5 ladder terms, the lead term and a 3-term triangle
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_TERMS", 9)
+        assert len(verify_analytic_ladder(2, 3, 9).terms) == 9
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_TERMS", 8)
+
+        def never(*args):
+            raise AssertionError("a term was built past the budget")
+
+        monkeypatch.setattr(identities, "fat_hook_value", never)
+        with pytest.raises(ValueError, match="^analytic ladder d=2 has 9 terms; the limit is 8$"):
+            verify_analytic_ladder(2, 3, 9)
+
+    def test_default_term_budget(self, monkeypatch):
+        def terms(d):
+            return d * (d + 1) // 2 + 2 * d + 2
+
+        def never(*args):
+            raise AssertionError("a term was built past the budget")
+
+        assert terms(197) <= identities.MAX_ANALYTIC_TERMS < terms(198)
+        monkeypatch.setattr(identities, "fat_hook_value", never)
+        for d in (198, 300, 10**9):
+            with pytest.raises(ValueError, match=f"^analytic ladder d={d} has {terms(d)} terms;"):
+                verify_analytic_ladder(d, 3, 4 * d)
 
 
 def _fails(verify, *args) -> bool:
@@ -359,17 +395,23 @@ class TestHookWrap:
             verify_hook_wrap((3, 1), MAX_RIM_HOOK_CELLS + 1)
 
     def test_work_budget(self, monkeypatch):
-        # (3,1) at k = 6: (2 + 6) * (4 + 6) = 80
-        monkeypatch.setattr(identities, "MAX_HOOK_WRAP_WORK", 80)
+        # (3,1) at k = 6: 6 rim hooks of 10-cell shapes, 6 * 10 * isqrt(10) = 180
+        monkeypatch.setattr(identities, "MAX_HOOK_WRAP_WORK", 180)
         assert verify_hook_wrap((3, 1), 6).passed
-        monkeypatch.setattr(identities, "MAX_HOOK_WRAP_WORK", 79)
+        monkeypatch.setattr(identities, "MAX_HOOK_WRAP_WORK", 179)
 
         def never(*args):
             raise AssertionError("add_rim_hooks ran past the budget")
 
         monkeypatch.setattr(identities, "add_rim_hooks", never)
-        with pytest.raises(ValueError, match=r"^\(rows \+ k\) \* \(cells \+ k\) is 80; the limit is 79$"):
+        with pytest.raises(ValueError, match=r"^6 rim hooks of 10-cell shapes: work 180; the limit is 179$"):
             verify_hook_wrap((3, 1), 6)
+
+    def test_work_counts_only_the_hooks_that_fit(self):
+        # a column takes a one-cell hook in two places only: 2 * 1582 * 39
+        assert len(verify_hook_wrap((1,) * 1581, 1).terms) == 2
+        with pytest.raises(ValueError, match="^1001 rim hooks of 10000-cell shapes: work 1001000000;"):
+            verify_hook_wrap((1,) * 9000, 1000)
 
     def test_k1_does_not_vanish(self):
         # a single box never has a leg, so all signs are +1 and the sum is

@@ -16,6 +16,7 @@ from sytknap.partitions import (
     pad,
     parse_shape,
     partitions,
+    rim_hook_count,
     second_part_family,
     square_two_tail_partitions,
     three_row,
@@ -183,6 +184,16 @@ class TestRimHooks:
         assert len(add_rim_hooks((3, 1), 6)) == 6
         with pytest.raises(ValueError, match="rim hook has 7 cells; the limit is 6"):
             add_rim_hooks((3, 1), 7)
+
+    def test_count_matches_the_additions(self, monkeypatch):
+        for m in range(8):
+            for mu in partitions(m):
+                for k in range(1, 9):
+                    assert rim_hook_count(mu, k) == len(add_rim_hooks(mu, k)), (mu, k)
+        monkeypatch.setattr(importlib.import_module("sytknap.partitions"), "MAX_RIM_HOOK_CELLS", 6)
+        for k in (0, 7):
+            with pytest.raises(ValueError):
+                rim_hook_count((3, 1), k)
 
     def test_results_are_rim_additions(self):
         # every output contains mu cellwise, has the right size, and the

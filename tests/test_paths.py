@@ -33,6 +33,21 @@ class TestCounts:
         for n in range(15):
             assert count_paths(PathKind.DYCK, n) == catalan_number(n)
 
+    def test_length_budget(self, monkeypatch):
+        monkeypatch.setattr(paths, "MAX_PATH_LENGTH", 10)
+        assert count_paths(PathKind.MOTZKIN, 10) == 2188
+        assert count_paths(PathKind.DYCK, 5) == 42
+        with pytest.raises(ValueError, match="^motzkin n=11 has paths of 11 steps; the limit is 10$"):
+            count_paths(PathKind.MOTZKIN, 11)
+        with pytest.raises(ValueError, match="^dyck n=6 has paths of 12 steps; the limit is 10$"):
+            count_paths(PathKind.DYCK, 6)
+
+    def test_default_length_budget(self):
+        limit = paths.MAX_PATH_LENGTH
+        for kind, n in [(PathKind.MOTZKIN, limit + 1), (PathKind.RIORDAN, 10**9), (PathKind.DYCK, limit // 2 + 1)]:
+            with pytest.raises(ValueError, match=f"the limit is {limit}$"):
+                count_paths(kind, n)
+
 
 class TestEnumeration:
     def test_empty_path(self):

@@ -1,7 +1,12 @@
 import gc
 import inspect
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from itertools import chain, combinations
+from math import comb
 
 import pytest
 
@@ -128,9 +133,15 @@ def assert_matches_reference(pool, max_side, **caps):
 
 class TestAgainstReference:
     @pytest.mark.parametrize("max_side", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", range(4, 12))
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_uncapped(self, n, max_side):
         assert_matches_reference(build_pool(n), max_side)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sides_as_large_as_the_pool(self, n):
+        pool = build_pool(n)
+        for max_side in (len(pool.members), len(pool.members) + 3):
+            assert_matches_reference(pool, max_side, max_results=None)
 
     @pytest.mark.parametrize("n, max_side", [(6, 2), (9, 3), (10, 4)])
     def test_result_cap_edges(self, n, max_side):
@@ -158,26 +169,129 @@ class TestAgainstReference:
         assert exact.stopped_by is None and exact.pairs == full.pairs
 
 
+class TestAgainstReferenceStreamed(TestAgainstReference):
+    """The same cases with every top size streamed, not held whole."""
+
+    @pytest.fixture(autouse=True)
+    def streamed(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_HELD_TOP_SUBSETS", 0)
+
+
 class TestJoinCanFail:
     """The oracle comparison catches a join that keeps overlapping sides or
-    puts the later subset of a same-size pair on the left."""
+    puts the later subset of a same-size pair on the left, and a top-size
+    self-join whose equal-sum groups are not in itertools.combinations
+    order."""
 
     @pytest.mark.parametrize(
-        "old, new",
+        "name, old, new",
         [
-            ("        if not x & y\n", ""),
-            ("combinations(left, 2)", "((y, x) for x, y in combinations(left, 2))"),
+            ("_join", "        if not x & y\n", ""),
+            ("_join", "combinations(left, 2)", "((y, x) for x, y in combinations(left, 2))"),
+            ("_self_join_sums", "[(group, group)]", "[(masks := sorted(group), masks)]"),
         ],
-        ids=["overlapping-sides", "self-join-order"],
+        ids=["overlapping-sides", "self-join-order", "top-group-by-mask"],
     )
-    def test_mutation_fails_the_oracle(self, monkeypatch, old, new):
-        source = inspect.getsource(search._join)
+    def test_mutation_fails_the_oracle(self, monkeypatch, name, old, new):
+        monkeypatch.setattr(search, "MAX_HELD_TOP_SUBSETS", 0)  # stream the top size too
+        source = inspect.getsource(getattr(search, name))
         assert old in source
         namespace = dict(vars(search))
-        exec(source.replace(old, new), namespace)  # a mutated copy of _join
-        monkeypatch.setattr(search, "_join", namespace["_join"])
+        exec(source.replace(old, new), namespace)  # a mutated copy
+        monkeypatch.setattr(search, name, namespace[name])
         with pytest.raises(AssertionError):
             assert_matches_reference(build_pool(10), 3)
+
+
+class TestTopSize:
+    """A top side size, min(max_side, pool size), of more than
+    MAX_HELD_TOP_SUBSETS subsets is indexed only at the sums a smaller size
+    has, and its self-join level (2 top terms) streams from the frontier.
+    Each test here streams every top size; each budget can stop the search
+    inside that level."""
+
+    @pytest.fixture(autouse=True)
+    def streamed(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_HELD_TOP_SUBSETS", 0)
+
+    @staticmethod
+    def self_join_costs(pool, top):
+        """(sum, C(c, 2)) in ascending sum order for each sum of c >= 2
+        size-top subsets: what the level-2 top self-join compares."""
+        counts = Counter(sum(value for _, value in combo) for combo in combinations(pool.members, top))
+        return sorted((total, c * (c - 1) // 2) for total, c in counts.items() if c > 1)
+
+    def test_held_up_to_the_limit(self, monkeypatch):
+        # build_pool(11) has 24 members: C(24, 4) = 10626 size-4 subsets
+        pool = build_pool(11)
+        held = find_equal_sum_pairs(pool, 4)
+        original, streams = search._self_join_sums, []
+
+        def spy(frontier):
+            streams.append(len(frontier))
+            return original(frontier)
+
+        monkeypatch.setattr(search, "_self_join_sums", spy)
+        monkeypatch.setattr(search, "MAX_HELD_TOP_SUBSETS", 10626)
+        assert find_equal_sum_pairs(pool, 4).pairs == held.pairs and streams == []
+        monkeypatch.setattr(search, "MAX_HELD_TOP_SUBSETS", 10625)
+        assert find_equal_sum_pairs(pool, 4).pairs == held.pairs and streams == [2024]  # C(24, 3)
+
+    @pytest.mark.parametrize("n, max_side", [(8, 1), (8, 2), (9, 3), (10, 4)])
+    def test_eval_cap_inside_the_top_size(self, n, max_side):
+        pool = build_pool(n)
+        m = len(pool.members)
+        below = sum(comb(m, s) for s in range(1, max_side))
+        full = below + comb(m, max_side)
+        for max_evals in (below, below + 1, below + 9, (below + full) // 2, full - 1):
+            res = assert_matches_reference(pool, max_side, max_evals=max_evals, max_results=None)
+            assert res.stopped_by == "max_evals"
+
+    @pytest.mark.parametrize("n, max_side", [(7, 1), (9, 2), (10, 3), (11, 4)])
+    def test_result_cap_inside_the_self_join(self, n, max_side):
+        pool = build_pool(n)
+        pairs = find_equal_sum_pairs(pool, max_side, max_results=None).pairs
+        before = sum(len(p.left) + len(p.right) < 2 * max_side for p in pairs)
+        assert len(pairs) - before >= 3  # the self-join level has pairs to cut
+        for cap in (before, before + 1, (before + len(pairs)) // 2, len(pairs) - 1):
+            res = assert_matches_reference(pool, max_side, max_results=cap)
+            assert res.stopped_by == "max_results" and len(res.pairs) == cap
+
+    @pytest.mark.parametrize("n, max_side", [(9, 1), (9, 3), (10, 4)])
+    def test_join_budget_inside_the_self_join(self, monkeypatch, n, max_side):
+        pool = build_pool(n)
+        uncapped = find_equal_sum_pairs(pool, max_side, max_results=None).pairs
+        costs = self.self_join_costs(pool, max_side)
+        before = TestJoinBudget.comparisons(pool, max_side) - sum(cost for _, cost in costs)
+        for stop in (0, 1, len(costs) // 2, len(costs) - 1):
+            # room for every sum of the self-join level below costs[stop]
+            budget = before + sum(cost for _, cost in costs[:stop])
+            monkeypatch.setattr(search, "MAX_JOIN_CANDIDATES", budget)
+            res = find_equal_sum_pairs(pool, max_side, max_results=None)
+            assert res.stopped_by == "max_candidates"
+            first_out = costs[stop][0]
+            assert res.pairs == [
+                p for p in uncapped if len(p.left) + len(p.right) < 2 * max_side or p.total < first_out
+            ]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_top_size_is_never_indexed_whole(self):
+        # n = 20, side 4: holding the 521 855 size-4 subsets peaked near
+        # 95 MB; the filtered index and the streamed self-join near 52 MB.
+        # VmHWM is the peak of the fresh interpreter alone: ru_maxrss of a
+        # process started from this one counts this one's size too.
+        code = (
+            "from sytknap.search import build_pool, find_equal_sum_pairs\n"
+            "find_equal_sum_pairs(build_pool(20), max_side=4)\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(search.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
+        )
+        assert int(done.stdout) / 1024 < 75
 
 
 class TestSides:
