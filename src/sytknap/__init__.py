@@ -23,6 +23,7 @@ from .identities import (
     verify_expansion,
     verify_hook_wrap,
     verify_knapsack,
+    verify_knapsack_sweep,
     verify_ladder,
     verify_riordan,
 )

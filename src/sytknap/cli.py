@@ -1,8 +1,8 @@
 """Command-line surface: single evaluations, identity verification, table
 reproduction, symbolic certificates, search and scans.
 
-Subcommands return (text, exit status); `main` alone writes the `--out`
-file, then stdout.  Exit status: 0 all checks passed, 1 at least one
+Subcommands return (text pieces, exit status); `main` alone writes the
+`--out` file, then stdout.  Exit status: 0 all checks passed, 1 at least one
 verification failed (reports are still emitted), 2 usage, bounds or
 `--out` error.  Runs are seedless and deterministic: the same invocation
 always produces byte-identical output.
@@ -25,6 +25,7 @@ from .identities import (
     verify_expansion,
     verify_hook_wrap,
     verify_knapsack,
+    verify_knapsack_sweep,
     verify_ladder,
     verify_riordan,
 )
@@ -35,28 +36,43 @@ from .search import build_pool, find_equal_sum_pairs, scan_even_ladders
 
 OUT_DIR_ENV = "SYTKNAP_OUT_DIR"
 
+_JSON = json.JSONEncoder(indent=2)
 
-def _cmd_degree(args) -> tuple[str, int]:
+
+def _json_list(items, depth: int = 0) -> list[str]:
+    """The text of json.dumps(list(items), indent=2) nested `depth` levels
+    deep, in pieces.  Each item is encoded as soon as it is made and then
+    dropped, so no whole payload of dicts is ever held.  Replacing newlines
+    re-indents an item safely: the encoder escapes every newline inside a
+    string."""
+    inner = "\n" + "  " * (depth + 1)
+    pieces = [
+        ("," if i else "[") + inner + _JSON.encode(item).replace("\n", inner)
+        for i, item in enumerate(items)
+    ]
+    pieces.append("\n" + "  " * depth + "]" if pieces else "[]")
+    return pieces
+
+
+def _cmd_degree(args) -> tuple[list[str], int]:
     shape = parse_shape(args.shape)
     value = syt_enumerate(shape) if args.route == "enumerate" else degree(shape)
-    return f"{to_decimal(value)}\n", 0
+    return [f"{to_decimal(value)}\n"], 0
 
 
-def _cmd_paths(args) -> tuple[str, int]:
+def _cmd_paths(args) -> tuple[list[str], int]:
     kind = PathKind(args.kind)
     if args.list:
-        return "".join(f"{p or '(empty)'}\n" for p in enumerate_paths(kind, args.n)), 0
-    return f"{to_decimal(count_paths(kind, args.n))}\n", 0
-
-
-def _knapsack_reports(args) -> list:
-    ks = range(args.n // 2 + 1) if args.k is None else [args.k]
-    return [r for k in ks for r in verify_knapsack(args.n, k)]
+        return ["".join(f"{p or '(empty)'}\n" for p in enumerate_paths(kind, args.n))], 0
+    return [f"{to_decimal(count_paths(kind, args.n))}\n"], 0
 
 
 # family -> (required options, report builder); the order is the --help order
 VERIFIERS = {
-    "knapsack": (("n",), _knapsack_reports),
+    "knapsack": (
+        ("n",),
+        lambda a: verify_knapsack_sweep(a.n) if a.k is None else list(verify_knapsack(a.n, a.k)),
+    ),
     "riordan": (("n",), lambda a: verify_riordan(a.n)),
     "ladder": (("d", "k", "m"), lambda a: [verify_ladder(a.d, a.k, a.m)]),
     "analytic": (("d", "k", "m"), lambda a: [verify_analytic_ladder(a.d, a.k, a.m)]),
@@ -68,16 +84,16 @@ VERIFIERS = {
 }
 
 
-def _reports_output(reports, fmt: str, to_json, render) -> tuple[str, int]:
+def _reports_output(reports, fmt: str, to_json, render) -> tuple[list[str], int]:
     """JSON or text for a list of reports; exit 1 when any report failed."""
     if fmt == "json":
-        text = json.dumps([to_json(r) for r in reports], indent=2)
+        pieces = _json_list(to_json(r) for r in reports)
     else:
-        text = "\n".join(render(r) for r in reports)
-    return text + "\n", 0 if all(r.passed for r in reports) else 1
+        pieces = ["\n".join(render(r) for r in reports)]
+    return pieces + ["\n"], 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[list[str], int]:
     required, build = VERIFIERS[args.id]
     missing = [f"--{name}" for name in required if getattr(args, name) is None]
     if missing:
@@ -85,11 +101,11 @@ def _cmd_verify(args) -> tuple[str, int]:
     return _reports_output(build(args), args.format, report_to_json, render_report)
 
 
-def _cmd_table(args) -> tuple[str, int]:
-    return render_table(args.id), 0
+def _cmd_table(args) -> tuple[list[str], int]:
+    return [render_table(args.id)], 0
 
 
-def _cmd_certify(args) -> tuple[str, int]:
+def _cmd_certify(args) -> tuple[list[str], int]:
     if args.name and args.name not in CERTIFICATES:
         raise ValueError(
             f"unknown certificate {args.name!r}; available: {', '.join(sorted(CERTIFICATES))}"
@@ -98,18 +114,22 @@ def _cmd_certify(args) -> tuple[str, int]:
     return _reports_output(reports, args.format, lambda r: r.to_json(), render_certificate)
 
 
-def _cmd_search(args) -> tuple[str, int]:
+def _cmd_search(args) -> tuple[list[str], int]:
     families = tuple(args.pool.split("+"))
     pool = build_pool(args.n, families)
     result = find_equal_sum_pairs(pool, args.max_side, args.max_evals)
     if args.format == "json":
-        payload = {
+        head = {
             "n": args.n,
             "pool": sorted(format_shape(s) for s, _ in pool.members),
             "truncated": result.truncated,
-            "pairs": [report_to_json(p.to_report()) for p in result.pairs],
+            "pairs": [],
         }
-        return json.dumps(payload, indent=2) + "\n", 0
+        # the pairs list is spliced in, one report at a time, where the
+        # empty list ends the encoded head
+        text = _JSON.encode(head).removesuffix("[]\n}")
+        pairs = _json_list((report_to_json(p.to_report()) for p in result.pairs), depth=1)
+        return [text, *pairs, "\n}\n"], 0
     lines = [
         f"pool n={args.n} families={args.pool} size={len(pool.members)}"
         f" subsets={result.subsets_enumerated}"
@@ -120,10 +140,10 @@ def _cmd_search(args) -> tuple[str, int]:
         right = " + ".join(f"f({format_shape(s)})" for s in p.right)
         tail = f" ; {p.label}" if p.label else ""
         lines.append(f"{left} = {right} ; sum {p.total}{tail}")
-    return "\n".join(lines) + "\n", 0
+    return ["\n".join(lines) + "\n"], 0
 
 
-def _cmd_scan(args) -> tuple[str, int]:
+def _cmd_scan(args) -> tuple[list[str], int]:
     rows = scan_even_ladders(args.k, args.m, args.dmax)
     if args.format == "csv":
         lines = ["d,value,probe_shape,probe_value,residual,candidates,note"]
@@ -147,7 +167,7 @@ def _cmd_scan(args) -> tuple[str, int]:
                 f"d={r.d:<2d} value={to_decimal(r.value)} probe={probe}"
                 f" residual={'-' if r.residual is None else to_decimal(r.residual)} ; {r.note}"
             )
-    return "\n".join(lines) + "\n", 0
+    return ["\n".join(lines) + "\n"], 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -212,15 +232,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, status = args.func(args)
+        pieces, status = args.func(args)
         if args.out:
             # join drops the base directory for an absolute path
             with open(os.path.join(os.environ.get(OUT_DIR_ENV, ""), args.out), "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    sys.stdout.writelines(pieces)
     return status
 
 

@@ -32,15 +32,22 @@ def _length(kind: PathKind, n: int) -> int:
     return 2 * n if kind is PathKind.DYCK else n
 
 
-def count_paths(kind: PathKind, n: int) -> int:
-    """Exact path count via dynamic programming over (position, height).
-    Paths of more than MAX_PATH_LENGTH steps are refused with ValueError
-    before the DP starts."""
+def checked_length(kind: PathKind, n: int) -> int:
+    """The number of steps of the paths at n; ValueError for a negative n or
+    for more than MAX_PATH_LENGTH steps."""
     if n < 0:
         raise ValueError("path length must be nonnegative")
     length = _length(kind, n)
     if length > MAX_PATH_LENGTH:
         raise ValueError(f"{kind.value} n={n} has paths of {length} steps; the limit is {MAX_PATH_LENGTH}")
+    return length
+
+
+def count_paths(kind: PathKind, n: int) -> int:
+    """Exact path count via dynamic programming over (position, height).
+    Paths of more than MAX_PATH_LENGTH steps are refused with ValueError
+    before the DP starts."""
+    length = checked_length(kind, n)
     dp = [1] + [0] * length
     for _ in range(length):
         new = [0] * (length + 1)

@@ -409,7 +409,10 @@ def scan_even_ladders(k: int, m: int, d_max: int) -> list[ScanRow]:
         three_part_degrees.setdefault(degree(p), []).append(p)
     rows = []
     for d in range(0, d_max + 1, 2):
-        value = sum(t.value for t in ladder_sum_terms(k, m, d))
+        # only the first m//2 + 1 triples are shapes; the later ones have
+        # negative tails and vanish wherever the fat-hook form is defined,
+        # and it is singular at j = k + m
+        value = sum(t.value for t in ladder_sum_terms(k, m, min(d, m // 2 + 1)))
         probe_shape = fat_hook(k + d, k, m - d) if d else None
         probe_value = degree(probe_shape) if probe_shape is not None else None
         residual = value - probe_value if probe_value is not None else None

@@ -1,14 +1,17 @@
+import io
 import json
+import sys
+import tracemalloc
 from decimal import Decimal
 
 import pytest
 
 from conftest import assert_report_json, read_golden
-from sytknap import identities, paths
+from sytknap import certificates, identities, paths, search
 from sytknap.cli import VERIFIERS, main
 from sytknap.degrees import degree
 from sytknap.identities import MAX_HOOK_WRAP_WORK
-from sytknap.partitions import MAX_RIM_HOOK_CELLS, MAX_SHAPE_CELLS, branching_children, partitions
+from sytknap.partitions import MAX_RIM_HOOK_CELLS, MAX_SHAPE_CELLS, branching_children, format_shape, partitions
 from sytknap.paths import catalan_number, syt_row_bounded_count
 from sytknap.render import render_table
 
@@ -130,6 +133,18 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, *argv, "--n", str(n))
         assert code == 2 and out == ""
         assert err == f"error: {kind} n={n} has paths of {n} steps; the limit is {paths.MAX_PATH_LENGTH}\n"
+
+    @pytest.mark.parametrize("family", ["knapsack", "riordan"])
+    def test_sweep_over_budget_is_usage_error(self, capsys, family, monkeypatch):
+        n = identities.MAX_SWEEP_N + 1
+
+        def never(*args):
+            raise AssertionError("the knapsack sweep ran past its budget")
+
+        monkeypatch.setattr(identities, "degree", never)
+        code, out, err = run_cli(capsys, "verify", "--id", family, "--n", str(n), "--format", "json")
+        assert code == 2 and out == ""
+        assert err == f"error: knapsack sweep n={n} is over budget; the limit is n={identities.MAX_SWEEP_N}\n"
 
     def test_json_past_the_str_digit_limit(self, capsys):
         argv = ("verify", "--id", "hookwrap", "--mu", "100^100", "--k", "2", "--format", "json")
@@ -268,6 +283,104 @@ class TestSearchCommand:
         assert "Traceback" not in err
 
 
+def _old_json(payload) -> str:
+    """What --format json printed when the whole payload was one json.dumps."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _search_payload(n, max_side, max_evals=10_000_000):
+    pool = search.build_pool(n)
+    result = search.find_equal_sum_pairs(pool, max_side, max_evals)
+    return {
+        "n": n,
+        "pool": sorted(format_shape(s) for s, _ in pool.members),
+        "truncated": result.truncated,
+        "pairs": [identities.report_to_json(p.to_report()) for p in result.pairs],
+    }
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+class TestStreamedJson:
+    """--format json is encoded one report at a time; its bytes are those of
+    the whole payload passed to json.dumps."""
+
+    @pytest.mark.parametrize(
+        "args, reports",
+        [
+            (("knapsack", "--n", "20", "--k", "5"), lambda: list(identities.verify_knapsack(20, 5))),
+            (("knapsack", "--n", "12"), lambda: [r for k in range(7) for r in identities.verify_knapsack(12, k)]),
+            (("riordan", "--n", "8"), lambda: identities.verify_riordan(8)),
+            (("ladder", "--d", "1", "--k", "14", "--m", "7"), lambda: [identities.verify_ladder(1, 14, 7)]),
+            (("analytic", "--d", "1", "--k", "4", "--m", "11"), lambda: [identities.verify_analytic_ladder(1, 4, 11)]),
+            (("expansion", "--n", "30", "--k", "11"), lambda: [identities.verify_expansion(30, 11)]),
+            (("boundary", "--k", "3", "--m", "2"), lambda: [identities.verify_boundary(3, 2)]),
+            (("hookwrap", "--mu", "3,1", "--k", "6"), lambda: [identities.verify_hook_wrap((3, 1), 6)]),
+            (("catalan-pair", "--m", "3"), lambda: [identities.verify_catalan_pair(3)]),
+            (("branch", "--n", "20", "--k", "5", "--parity", "opposite"),
+             lambda: [identities.verify_branch_rows(20, 5, False)]),
+        ],
+        ids=["knapsack", "knapsack-sweep", "riordan", "ladder", "analytic", "expansion", "boundary", "hookwrap",
+             "catalan-pair", "branch"],
+    )
+    def test_verify(self, capsys, args, reports):
+        code, out, _ = run_cli(capsys, "verify", "--id", *args, "--format", "json")
+        expected = reports()
+        assert code == (0 if all(r.passed for r in expected) else 1)
+        assert out == _old_json([identities.report_to_json(r) for r in expected])
+
+    def test_certify(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--format", "json")
+        assert code == 0
+        assert out == _old_json([r.to_json() for r in certificates.certify_all()])
+
+    @pytest.mark.parametrize(
+        "n, max_side, max_evals, kind",
+        [(8, 3, 10_000_000, "pairs"), (1, 4, 10_000_000, "no pairs"), (10, 3, 1000, "truncated"),
+         (6, 2, 0, "truncated, no pairs")],
+        ids=["pairs", "no-pairs", "truncated", "truncated-no-pairs"],
+    )
+    def test_search(self, capsys, n, max_side, max_evals, kind):
+        argv = ("search", "--n", str(n), "--max-side", str(max_side), "--max-evals", str(max_evals))
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = _search_payload(n, max_side, max_evals)
+        assert code == 0 and out == _old_json(payload)
+        assert payload["truncated"] == ("truncated" in kind)
+        assert (payload["pairs"] == []) == ("no pairs" in kind)
+        if not payload["pairs"]:
+            assert '  "pairs": []\n}\n' in out
+
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SYTKNAP_OUT_DIR", str(tmp_path))
+        for argv in [("search", "--n", "8", "--max-side", "3"), ("verify", "--id", "riordan", "--n", "8")]:
+            code, out, _ = run_cli(capsys, *argv, "--format", "json", "--out", "o.json")
+            assert code == 0
+            assert (tmp_path / "o.json").read_bytes() == out.encode()
+
+    def test_peak_memory_is_about_the_output_size(self, monkeypatch):
+        # building the whole payload before encoding it peaked at 9.5 times
+        # the output; one report at a time it is about 1.2 times
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["search", "--n", "12", "--max-side", "3", "--format", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.chars > 3_000_000
+        assert peak < 2 * sink.chars
+
+
 class TestScanCommand:
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--k", "4", "--m", "7", "--dmax", "4")
@@ -281,6 +394,13 @@ class TestScanCommand:
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--k", "5", "--m", "5", "--dmax", "2", "--format", "text")
         assert code == 0 and "d=0" in out and "d=2" in out
+
+    def test_dmax_past_k_plus_m(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--k", "2", "--m", "2", "--dmax", "8")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+            ["0", "0"], ["2", "14"], ["4", "14"], ["6", "14"], ["8", "14"]
+        ]
 
 
 class TestInputGuards:

@@ -19,6 +19,7 @@ from sytknap.identities import (
     verify_expansion,
     verify_hook_wrap,
     verify_knapsack,
+    verify_knapsack_sweep,
     verify_ladder,
     verify_riordan,
 )
@@ -73,6 +74,35 @@ class TestKnapsack:
     def test_json_schema(self):
         for rep in verify_knapsack(32, 12):
             assert_report_json(report_to_json(rep))
+
+    def test_sweep_is_every_k(self):
+        reports = verify_knapsack_sweep(20)
+        assert reports == [r for k in range(11) for r in verify_knapsack(20, k)]
+        with pytest.raises(ValueError, match="need n >= 1"):
+            verify_knapsack_sweep(-3)
+
+
+def _never(*args):
+    raise AssertionError("the knapsack sweep ran past its budget")
+
+
+class TestSweepBudget:
+    @pytest.mark.parametrize("sweep", [verify_knapsack_sweep, verify_riordan], ids=["knapsack", "riordan"])
+    def test_at_and_past_the_budget(self, sweep, monkeypatch):
+        monkeypatch.setattr(identities, "MAX_SWEEP_N", 12)
+        assert all(r.passed for r in sweep(12))
+        monkeypatch.setattr(identities, "degree", _never)
+        monkeypatch.setattr(identities, "count_paths", _never)
+        with pytest.raises(ValueError, match="^knapsack sweep n=13 is over budget; the limit is n=12$"):
+            sweep(13)
+
+    @pytest.mark.parametrize("sweep", [verify_knapsack_sweep, verify_riordan], ids=["knapsack", "riordan"])
+    def test_default_budget(self, sweep, monkeypatch):
+        n = identities.MAX_SWEEP_N + 1
+        monkeypatch.setattr(identities, "degree", _never)
+        monkeypatch.setattr(identities, "count_paths", _never)
+        with pytest.raises(ValueError, match=f"^knapsack sweep n={n} is over budget;"):
+            sweep(n)
 
 
 class TestRiordan:

@@ -12,6 +12,7 @@ import pytest
 
 from sytknap import search
 from sytknap.degrees import degree
+from sytknap.identities import ladder_sum_terms
 from sytknap.search import (
     _known_knapsack_instances,
     _Sides,
@@ -433,3 +434,20 @@ class TestScan:
         d2 = rows[1]
         assert d2.note == "probe matches exactly" and d2.residual == 0 and d2.candidates == []
         assert d2.value == self.restated_value(12, 10, 2) == degree((14, 12) + (1,) * 8)
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (2, 3), (3, 2), (4, 7), (5, 6), (6, 11)])
+    def test_rows_up_to_k_plus_m_keep_the_whole_ladder_sum(self, k, m):
+        # below j = k + m the fat-hook form is defined at every ladder triple,
+        # so the sum of every term, tails of any sign, is the reference
+        rows = scan_even_ladders(k, m, k + m)
+        assert [r.d for r in rows] == list(range(0, k + m + 1, 2))
+        for r in rows:
+            assert r.value == sum(t.value for t in ladder_sum_terms(k, m, r.d))
+
+    def test_past_k_plus_m(self):
+        # at j = k + m the fat-hook form is singular; the scan counts shapes only
+        with pytest.raises(ValueError, match=r"singular denominator at \(6, 6, -6\)"):
+            ladder_sum_terms(2, 2, 5)
+        rows = scan_even_ladders(2, 2, 8)
+        assert [(r.d, r.value) for r in rows] == [(0, 0), (2, 14), (4, 14), (6, 14), (8, 14)]
+        assert rows[1].value == degree((2, 2, 1, 1)) + degree((3, 3))
