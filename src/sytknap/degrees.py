@@ -8,30 +8,42 @@ the sweep sizes used here, so big integers are mandatory throughout.
 from functools import lru_cache
 from math import factorial, perm
 
-from .partitions import Partition, conjugate, make_partition
+from .partitions import Partition, make_partition
+
+# n! for the hook product's numerator: a sweep values thousands of shapes of
+# a handful of sizes
+_factorial = lru_cache(maxsize=64)(factorial)
 
 
 @lru_cache(maxsize=None)
 def _degree(p: Partition) -> int:
     """n! over the product of all hook lengths (Frame, Robinson and Thrall).
 
-    The product is taken by blocks: in row i the cells j..end-1 whose
-    columns share one length c (end = p[c-1]) have consecutive hook lengths
-    row+c-i-j-1 down to row+c-i-end, so the block contributes one falling
-    factorial.  A row meets one block per distinct part at or below it.
+    The product is taken by blocks.  The columns fall into blocks, one per
+    distinct part: a block (part, height) holds the columns left..part-1
+    (left being the previous block's part), all of length height.  In row i
+    the block's cells have consecutive hook lengths row+height-i-left-1
+    down to row+height-i-part, so it contributes one falling factorial.  Row
+    i meets the blocks smallest part first and stops at its own part.
     """
     if not p:
         return 1
+    blocks = []  # (part, rows reaching it), smallest part first
+    last = 0
+    for height in range(len(p), 0, -1):
+        part = p[height - 1]
+        if part > last:
+            blocks.append((part, height))
+            last = part
     prod = 1
-    conj = conjugate(p)
     for i, row in enumerate(p):
-        j = 0
-        while j < row:
-            c = conj[j]
-            end = p[c - 1]
-            prod *= perm(row + c - i - j - 1, end - j)
-            j = end
-    q, r = divmod(factorial(sum(p)), prod)
+        left = 0
+        for part, height in blocks:
+            prod *= perm(row + height - i - left - 1, part - left)
+            if part == row:
+                break
+            left = part
+    q, r = divmod(_factorial(sum(p)), prod)
     if r:
         raise ArithmeticError(f"hook product does not divide n! for {p}")
     return q

@@ -82,10 +82,17 @@ MAX_HOOK_WRAP_WORK = 60_000_000
 # (45 752 terms) took 8.5 s
 MAX_ANALYTIC_TERMS = 20_000
 
+# and its budget on terms * n^2, where n = 2k + m is every term's leading
+# factorial.  Time tracks that product: on a 2-core VM 1.3 s at
+# (d, k, m) = (197, 3, 788) (1.25e10), 2.7 s at (197, 100, 900) (2.41e10)
+# and 22.9 s at (197, 500, 2000) (1.79e11)
+MAX_ANALYTIC_WORK = 20_000_000_000
+
 # the knapsack sweeps, verify_knapsack_sweep and verify_riordan, value every
-# three-part partition of n: about n^2/12 hook products of n cells.  At
-# n = 500 they take 1.9 s (riordan) and 1.5 s (knapsack) through the CLI
-# with --format json on a 2-core VM; at n = 800, 7.2 s and 6.3 s
+# three-part partition of n: about n^2/12 hook products of n cells (riordan
+# only the quarter whose parts share n's parity).  At n = 500 they take 0.5 s
+# (riordan) and 0.85 s (knapsack) through the CLI with --format json on a
+# 2-core VM; at n = 800, 1.5 s and 4.4 s
 MAX_SWEEP_N = 500
 
 # str() takes integers of up to this many bits: under 640 digits, the lowest
@@ -205,41 +212,34 @@ def swapped(n: int, k: int) -> bool:
     return k > (n + 2) // 3 and k % 2 != n % 2
 
 
-def verify_knapsack(n: int, k: int) -> tuple[Report, Report]:
-    """Both fixed-second-part identities at (n, k).
+def _knapsack_eq(n: int, k: int, eq: int) -> Report:
+    """One fixed-second-part identity at (n, k).
 
     The same-parity and opposite-parity families split n's three-part
-    partitions with second part k; one family sums to a pair of equal-width
-    fat hooks, the other to the single intermediate hook, with the roles
-    swapped in the large-k opposite-parity regime.
+    partitions with second part k.  Equation 1 sums one family to a pair of
+    equal-width fat hooks, equation 2 the other to the single intermediate
+    hook; eq 1 takes the same-parity family except in the large-k
+    opposite-parity regime, where the roles swap.
     """
     if n < 1 or not 0 <= k <= n // 2:
         raise ValueError(f"need 1 <= n and 0 <= k <= n//2, got n={n}, k={k}")
     m = n - 2 * k
-    same = second_part_family(n, k, True)
-    opposite = second_part_family(n, k, False)
     swap = swapped(n, k)
-    regime = "swapped" if swap else "standard"
-    pair_side, single_side = (opposite, same) if swap else (same, opposite)
-    pair_label, single_label = ("opposite", "same") if swap else ("same", "opposite")
-    eq1 = Report(
-        id="knapsack-eq1",
+    same = (eq == 1) != swap
+    hooks = _ladder_args(k, m, 2) if eq == 1 else [(k + 1, k, m - 1)]
+    return Report(
+        id=f"knapsack-eq{eq}",
         params={"n": n, "k": k},
-        terms=_partition_terms("L", pair_side) + _fat_hook_terms("R", _ladder_args(k, m, 2)),
-        regime=regime,
-        note=f"left side: {pair_label}-parity family",
+        terms=_partition_terms("L", second_part_family(n, k, same)) + _fat_hook_terms("R", hooks),
+        regime="swapped" if swap else "standard",
+        note=f"left side: {'same' if same else 'opposite'}-parity family",
         lhs_pad=3,
     )
-    eq2 = Report(
-        id="knapsack-eq2",
-        params={"n": n, "k": k},
-        terms=_partition_terms("L", single_side)
-        + _fat_hook_terms("R", [(k + 1, k, m - 1)]),
-        regime=regime,
-        note=f"left side: {single_label}-parity family",
-        lhs_pad=3,
-    )
-    return eq1, eq2
+
+
+def verify_knapsack(n: int, k: int) -> tuple[Report, Report]:
+    """Both fixed-second-part identities at (n, k), equation 1 first."""
+    return _knapsack_eq(n, k, 1), _knapsack_eq(n, k, 2)
 
 
 def _check_sweep(n: int) -> None:
@@ -272,7 +272,7 @@ def verify_riordan(n: int) -> list[Report]:
     reports = []
     per_k_total = 0
     for k in range(n % 2, n // 2 + 1, 2):
-        rep = verify_knapsack(n, k)[0]
+        rep = _knapsack_eq(n, k, 1)
         per_k_total += rep.lhs
         reports.append(rep)
     x_family = [p for p in partitions(n, 3) if _equal_parity(p)]
@@ -358,14 +358,20 @@ def verify_analytic_ladder(d: int, k: int, m: int) -> Report:
     leading fat-hook value plus a triangle of three-row values.
 
     Singular arguments are reported in the `error` field, not raised.  A
-    call of more than MAX_ANALYTIC_TERMS terms is refused before any is
-    built.
+    call of more than MAX_ANALYTIC_TERMS terms, or of more than
+    MAX_ANALYTIC_WORK terms * (2k+m)^2, is refused before any term is built.
     """
     if d < 0:
         raise ValueError("need d >= 0")
     terms = d * (d + 1) // 2 + 2 * d + 2
     if terms > MAX_ANALYTIC_TERMS:
         raise ValueError(f"analytic ladder d={d} has {terms} terms; the limit is {MAX_ANALYTIC_TERMS}")
+    size = max(2 * k + m, 0)
+    if terms * size * size > MAX_ANALYTIC_WORK:
+        raise ValueError(
+            f"analytic ladder d={d} has {terms} terms of size 2k+m={size}: "
+            f"work {terms * size * size}; the limit is {MAX_ANALYTIC_WORK}"
+        )
     params = {"d": d, "k": k, "m": m}
     ladder, lead, tail = _ladder_args(k, m, 2 * d + 1), _ladder_lead(d, k, m), _triangle(d, k, m)
     try:

@@ -145,7 +145,9 @@ def partitions(n: int, max_rows: int | None = None):
         if remaining == 0:
             yield ()
             return
-        if rows_left <= 0:
+        if rows_left <= 1:  # the last row takes all that is left
+            if rows_left == 1 and remaining <= largest:
+                yield (remaining,)
             return
         for first in range(min(remaining, largest), 0, -1):
             for rest in rec(remaining - first, first, rows_left - 1):

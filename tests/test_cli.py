@@ -123,6 +123,13 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"error: analytic ladder d=198 has 20099 terms; the limit is {identities.MAX_ANALYTIC_TERMS}\n"
 
+    def test_analytic_work_over_budget_is_usage_error(self, capsys, monkeypatch):
+        # d = 2 at 2k+m = 15: work 9 * 15^2 = 2025
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 2024)
+        code, out, err = run_cli(capsys, "verify", "--id", "analytic", "--d", "2", "--k", "3", "--m", "9")
+        assert code == 2 and out == ""
+        assert err == "error: analytic ladder d=2 has 9 terms of size 2k+m=15: work 2025; the limit is 2024\n"
+
     @pytest.mark.parametrize(
         "argv, kind",
         [(("paths", "--kind", "motzkin"), "motzkin"), (("verify", "--id", "riordan"), "riordan")],

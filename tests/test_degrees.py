@@ -14,7 +14,7 @@ from sytknap.degrees import (
     syt_enumerate,
     three_row_value,
 )
-from sytknap.partitions import fat_hook, hook_lengths, partitions
+from sytknap.partitions import conjugate, fat_hook, hook_lengths, partitions
 
 
 def assert_hook_formula(p):
@@ -112,6 +112,39 @@ class TestHookProductOracle:
     def test_staircase(self):
         # every block is a single cell: the worst case for the block product
         assert_hook_formula(tuple(range(140, 0, -1)))
+
+
+class TestBlockCalls:
+    """The block walk makes the falling-factorial calls of the column-length
+    formula, in the same order, so the mutants below stay the same."""
+
+    @staticmethod
+    def conjugate_calls(p):
+        # row i, column block starting at j: its length c = conj[j] and its
+        # end p[c - 1] give perm(row + c - i - j - 1, end - j)
+        conj, calls = conjugate(p), []
+        for i, row in enumerate(p):
+            j = 0
+            while j < row:
+                c = conj[j]
+                end = p[c - 1]
+                calls.append((row + c - i - j - 1, end - j))
+                j = end
+        return calls
+
+    def test_every_partition_to_20(self, monkeypatch):
+        calls = []
+
+        def recorder(n, k):
+            calls.append((n, k))
+            return math.perm(n, k)
+
+        monkeypatch.setattr(degrees, "perm", recorder)
+        for n in range(1, 21):
+            for p in partitions(n):
+                calls.clear()
+                degree_uncached(p)
+                assert calls == self.conjugate_calls(p), p
 
 
 class TestHookProductCanFail:

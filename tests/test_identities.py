@@ -277,6 +277,37 @@ class TestAnalyticLadder:
             with pytest.raises(ValueError, match=f"^analytic ladder d={d} has {terms(d)} terms;"):
                 verify_analytic_ladder(d, 3, 4 * d)
 
+    def test_work_budget(self, monkeypatch):
+        # d = 2, k = 3, m = 9: 9 terms whose leading factorial is 15!
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 9 * 15**2)
+        assert verify_analytic_ladder(2, 3, 9).passed
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 9 * 15**2 - 1)
+
+        def never(*args):
+            raise AssertionError("a term was built past the budget")
+
+        monkeypatch.setattr(identities, "fat_hook_value", never)
+        with pytest.raises(ValueError, match=r"^analytic ladder d=2 has 9 terms of size 2k\+m=15: work 2025; the limit is 2024$"):
+            verify_analytic_ladder(2, 3, 9)
+
+    def test_default_work_budget(self, monkeypatch):
+        # d = 197 (19 899 terms) fits at 2k+m = 794 and not at 1 100, the
+        # (197, 100, 900) call that took 2.7 s
+        assert 19_899 * 794**2 <= identities.MAX_ANALYTIC_WORK < 19_899 * 1_100**2
+
+        def never(*args):
+            raise AssertionError("a term was built past the budget")
+
+        monkeypatch.setattr(identities, "fat_hook_value", never)
+        for d, k, m in [(197, 100, 900), (197, 500, 2000), (0, 3, 10**6)]:
+            with pytest.raises(ValueError, match=f"^analytic ladder d={d} has .* the limit is"):
+                verify_analytic_ladder(d, k, m)
+
+    def test_negative_size_is_reported_not_refused(self):
+        # 2k+m < 0: the leading factorial is undefined, which the report says
+        rep = verify_analytic_ladder(1, -10**9, 0)
+        assert rep.error.startswith("total -2000000000 < 0") and not rep.passed
+
 
 def _fails(verify, *args) -> bool:
     """True when the report fails or the call raises the non-partition error."""

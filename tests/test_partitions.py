@@ -276,6 +276,13 @@ class TestFamilies:
     def test_max_rows(self):
         assert list(partitions(4, 3)) == [(4,), (3, 1), (2, 2), (2, 1, 1)]
 
+    def test_max_rows_is_a_row_count_filter(self):
+        for n in range(31):
+            every = list(partitions(n))
+            for rows in [0, 1, 2, 3, 4, 5, None]:
+                kept = [p for p in every if rows is None or len(p) <= rows]
+                assert list(partitions(n, rows)) == kept, (n, rows)
+
     def test_square_two_tail(self):
         assert square_two_tail_partitions(4) == [(2, 2)]
         assert set(square_two_tail_partitions(6)) == {(2, 2, 2), (3, 3)}
