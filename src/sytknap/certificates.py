@@ -7,8 +7,6 @@ raised, and every check's reduced difference polynomial is kept in the
 report.
 """
 
-from dataclasses import dataclass, field
-
 from .degrees import _fat_hook_spec, _three_row_spec
 from .polynomials import FactorialProduct, Poly, RationalFn, cross_diff, poly_ring
 
@@ -30,13 +28,23 @@ def three_row_form(r: Poly, s: Poly, t: Poly) -> FactorialProduct:
     return _symbolic(_three_row_spec, r, s, t)
 
 
-@dataclass
 class CertificateReport:
-    """Outcome of one symbolic certificate."""
+    """Outcome of one symbolic certificate.  Two reports are equal when all
+    their fields are; `checks` defaults to a fresh list."""
 
-    name: str
-    passed: bool
-    checks: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("name", "passed", "checks")
+
+    def __init__(self, name: str, passed: bool, checks: list[tuple[str, str]] | None = None):
+        self.name, self.passed = name, passed
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.passed, self.checks) == (other.name, other.passed, other.checks)
+
+    def __repr__(self):
+        return f"CertificateReport(name={self.name!r}, passed={self.passed!r}, checks={self.checks!r})"
 
     def to_json(self) -> dict:
         return {

@@ -9,34 +9,20 @@ always produces byte-identical output.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from .certificates import CERTIFICATES, certify_all
-from .degrees import degree, syt_enumerate
-from .identities import (
-    report_to_json,
-    to_decimal,
-    verify_analytic_ladder,
-    verify_boundary,
-    verify_branch_rows,
-    verify_catalan_pair,
-    verify_expansion,
-    verify_hook_wrap,
-    verify_knapsack,
-    verify_knapsack_sweep,
-    verify_ladder,
-    verify_riordan,
-)
-from .partitions import format_shape, parse_shape
-from .paths import PathKind, count_paths, enumerate_paths
-from .render import TABLES, render_certificate, render_report, render_table
-from .search import build_pool, find_equal_sum_pairs, scan_even_ladders
+# loaded with the package (see __init__), so importing it here costs nothing;
+# every other module is imported by the subcommands that run it
+from .partitions import format_shape, parse_shape, to_decimal
 
 OUT_DIR_ENV = "SYTKNAP_OUT_DIR"
 
-_JSON = json.JSONEncoder(indent=2)
+# the choices of `paths --kind` and `table --id`, written out so that
+# building the parser loads neither paths nor render: they are
+# paths.PathKind's values and sorted(render.TABLES)
+PATH_KINDS = ("dyck", "motzkin", "riordan")
+TABLE_IDS = ("knapsack-n20", "knapsack-n32", "ladder-n35")
 
 
 def _json_list(items, depth: int = 0) -> list[str]:
@@ -45,9 +31,11 @@ def _json_list(items, depth: int = 0) -> list[str]:
     dropped, so no whole payload of dicts is ever held.  Replacing newlines
     re-indents an item safely: the encoder escapes every newline inside a
     string."""
+    from json import dumps
+
     inner = "\n" + "  " * (depth + 1)
     pieces = [
-        ("," if i else "[") + inner + _JSON.encode(item).replace("\n", inner)
+        ("," if i else "[") + inner + dumps(item, indent=2).replace("\n", inner)
         for i, item in enumerate(items)
     ]
     pieces.append("\n" + "  " * depth + "]" if pieces else "[]")
@@ -55,32 +43,37 @@ def _json_list(items, depth: int = 0) -> list[str]:
 
 
 def _cmd_degree(args) -> tuple[list[str], int]:
+    from .degrees import degree, syt_enumerate
+
     shape = parse_shape(args.shape)
     value = syt_enumerate(shape) if args.route == "enumerate" else degree(shape)
     return [f"{to_decimal(value)}\n"], 0
 
 
 def _cmd_paths(args) -> tuple[list[str], int]:
+    from .paths import PathKind, count_paths, enumerate_paths
+
     kind = PathKind(args.kind)
     if args.list:
         return ["".join(f"{p or '(empty)'}\n" for p in enumerate_paths(kind, args.n))], 0
     return [f"{to_decimal(count_paths(kind, args.n))}\n"], 0
 
 
-# family -> (required options, report builder); the order is the --help order
+# family -> (required options, report builder on the identities module and
+# the parsed options); the order is the --help order
 VERIFIERS = {
     "knapsack": (
         ("n",),
-        lambda a: verify_knapsack_sweep(a.n) if a.k is None else list(verify_knapsack(a.n, a.k)),
+        lambda ids, a: ids.verify_knapsack_sweep(a.n) if a.k is None else list(ids.verify_knapsack(a.n, a.k)),
     ),
-    "riordan": (("n",), lambda a: verify_riordan(a.n)),
-    "ladder": (("d", "k", "m"), lambda a: [verify_ladder(a.d, a.k, a.m)]),
-    "analytic": (("d", "k", "m"), lambda a: [verify_analytic_ladder(a.d, a.k, a.m)]),
-    "expansion": (("n", "k"), lambda a: [verify_expansion(a.n, a.k)]),
-    "boundary": (("k", "m"), lambda a: [verify_boundary(a.k, a.m)]),
-    "hookwrap": (("mu", "k"), lambda a: [verify_hook_wrap(parse_shape(a.mu), a.k)]),
-    "catalan-pair": (("m",), lambda a: [verify_catalan_pair(a.m)]),
-    "branch": (("n", "k", "parity"), lambda a: [verify_branch_rows(a.n, a.k, a.parity == "same")]),
+    "riordan": (("n",), lambda ids, a: ids.verify_riordan(a.n)),
+    "ladder": (("d", "k", "m"), lambda ids, a: [ids.verify_ladder(a.d, a.k, a.m)]),
+    "analytic": (("d", "k", "m"), lambda ids, a: [ids.verify_analytic_ladder(a.d, a.k, a.m)]),
+    "expansion": (("n", "k"), lambda ids, a: [ids.verify_expansion(a.n, a.k)]),
+    "boundary": (("k", "m"), lambda ids, a: [ids.verify_boundary(a.k, a.m)]),
+    "hookwrap": (("mu", "k"), lambda ids, a: [ids.verify_hook_wrap(parse_shape(a.mu), a.k)]),
+    "catalan-pair": (("m",), lambda ids, a: [ids.verify_catalan_pair(a.m)]),
+    "branch": (("n", "k", "parity"), lambda ids, a: [ids.verify_branch_rows(a.n, a.k, a.parity == "same")]),
 }
 
 
@@ -94,18 +87,26 @@ def _reports_output(reports, fmt: str, to_json, render) -> tuple[list[str], int]
 
 
 def _cmd_verify(args) -> tuple[list[str], int]:
+    from . import identities
+    from .render import render_report
+
     required, build = VERIFIERS[args.id]
     missing = [f"--{name}" for name in required if getattr(args, name) is None]
     if missing:
         raise ValueError(f"verify --id {args.id} needs {' '.join(missing)}")
-    return _reports_output(build(args), args.format, report_to_json, render_report)
+    return _reports_output(build(identities, args), args.format, identities.report_to_json, render_report)
 
 
 def _cmd_table(args) -> tuple[list[str], int]:
+    from .render import render_table
+
     return [render_table(args.id)], 0
 
 
 def _cmd_certify(args) -> tuple[list[str], int]:
+    from .certificates import CERTIFICATES, certify_all
+    from .render import render_certificate
+
     if args.name and args.name not in CERTIFICATES:
         raise ValueError(
             f"unknown certificate {args.name!r}; available: {', '.join(sorted(CERTIFICATES))}"
@@ -115,10 +116,16 @@ def _cmd_certify(args) -> tuple[list[str], int]:
 
 
 def _cmd_search(args) -> tuple[list[str], int]:
+    from .search import build_pool, find_equal_sum_pairs
+
     families = tuple(args.pool.split("+"))
     pool = build_pool(args.n, families)
     result = find_equal_sum_pairs(pool, args.max_side, args.max_evals)
     if args.format == "json":
+        from json import dumps
+
+        from .identities import report_to_json
+
         head = {
             "n": args.n,
             "pool": sorted(format_shape(s) for s, _ in pool.members),
@@ -127,7 +134,7 @@ def _cmd_search(args) -> tuple[list[str], int]:
         }
         # the pairs list is spliced in, one report at a time, where the
         # empty list ends the encoded head
-        text = _JSON.encode(head).removesuffix("[]\n}")
+        text = dumps(head, indent=2).removesuffix("[]\n}")
         pairs = _json_list((report_to_json(p.to_report()) for p in result.pairs), depth=1)
         return [text, *pairs, "\n}\n"], 0
     lines = [
@@ -144,6 +151,8 @@ def _cmd_search(args) -> tuple[list[str], int]:
 
 
 def _cmd_scan(args) -> tuple[list[str], int]:
+    from .search import scan_even_ladders
+
     rows = scan_even_ladders(args.k, args.m, args.dmax)
     if args.format == "csv":
         lines = ["d,value,probe_shape,probe_value,residual,candidates,note"]
@@ -184,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_degree)
 
     p = sub.add_parser("paths", help="lattice path counts (dyck n = semilength)")
-    p.add_argument("--kind", choices=[k.value for k in PathKind], required=True)
+    p.add_argument("--kind", choices=PATH_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--list", action="store_true", help="enumerate instead of count")
     p.set_defaults(func=_cmd_paths)
@@ -201,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="reproduce a reference table (byte-stable)")
-    p.add_argument("--id", required=True, choices=sorted(TABLES))
+    p.add_argument("--id", required=True, choices=TABLE_IDS)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("certify", help="run symbolic certificates")

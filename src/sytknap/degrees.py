@@ -10,8 +10,9 @@ from math import factorial, perm
 
 from .partitions import Partition, make_partition
 
-# n! for the hook product's numerator: a sweep values thousands of shapes of
-# a handful of sizes
+# n! for the hook product's numerator, where a sweep values thousands of
+# shapes of each size, and for a closed form's leading factorial, the same
+# (2k+m)! in every term of an analytic ladder
 _factorial = lru_cache(maxsize=64)(factorial)
 
 
@@ -94,7 +95,7 @@ def _evaluate(spec, *args: int) -> int:
         raise ValueError(f"singular denominator at {args}")
     if any(arg < 0 for arg, _ in reciprocals):
         return 0
-    num *= factorial(total)
+    num *= _factorial(total)
     for arg, _ in reciprocals:
         den *= factorial(arg)
     q, rem = divmod(num, den)

@@ -6,7 +6,7 @@ serialized.  All comparisons are exact big-integer equality; there are no
 tolerances anywhere.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import isqrt
 
 from .degrees import degree, fat_hook_value, three_row_value
@@ -21,38 +21,41 @@ from .partitions import (
     second_part_family,
     square_two_tail_partitions,
     three_row,
+    to_decimal,
 )
 from .paths import PathKind, catalan_number, checked_length, count_paths
 
+Term = namedtuple("Term", "side sign shape value kind", defaults=("partition",))
+Term.__doc__ = """One signed summand of an identity side.
 
-@dataclass(frozen=True)
-class Term:
-    """One signed summand of an identity side.
-
-    `shape` is the partition for kind "partition"; for the analytic kinds it
-    is the raw argument triple, which need not be a partition.
-    """
-
-    side: str
-    sign: int
-    shape: tuple[int, ...]
-    value: int
-    kind: str = "partition"
+`shape` is the partition for kind "partition"; for the analytic kinds it
+is the raw argument triple, which need not be a partition.
+"""
 
 
-@dataclass
 class Report:
-    """Structured outcome of one identity check."""
+    """Structured outcome of one identity check.  Two reports are equal when
+    all their fields are; `extra` and `checks` default to fresh dicts."""
 
-    id: str
-    params: dict
-    terms: list[Term]
-    regime: str = ""
-    note: str = ""
-    error: str = ""
-    extra: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
-    lhs_pad: int = 0
+    __slots__ = ("id", "params", "terms", "regime", "note", "error", "extra", "checks", "lhs_pad")
+
+    def __init__(self, id: str, params: dict, terms: list[Term], regime: str = "", note: str = "",
+                 error: str = "", extra: dict | None = None, checks: dict | None = None,
+                 lhs_pad: int = 0):
+        self.id, self.params, self.terms = id, params, terms
+        self.regime, self.note, self.error = regime, note, error
+        self.extra = {} if extra is None else extra
+        self.checks = {} if checks is None else checks
+        self.lhs_pad = lhs_pad
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Report({fields})"
 
     def side_sum(self, side: str) -> int:
         return sum(t.sign * t.value for t in self.terms if t.side == side)
@@ -83,9 +86,10 @@ MAX_HOOK_WRAP_WORK = 60_000_000
 MAX_ANALYTIC_TERMS = 20_000
 
 # and its budget on terms * n^2, where n = 2k + m is every term's leading
-# factorial.  Time tracks that product: on a 2-core VM 1.3 s at
-# (d, k, m) = (197, 3, 788) (1.25e10), 2.7 s at (197, 100, 900) (2.41e10)
-# and 22.9 s at (197, 500, 2000) (1.79e11)
+# factorial.  Time tracks that product: on a 2-core VM 1.2 s at
+# (d, k, m) = (197, 3, 788) (1.25e10), 2.0 s at (197, 100, 900) (2.41e10)
+# and 13 s at (197, 500, 2000) (1.79e11).  The limit was chosen when these
+# took about 1.8 times as long, so it is now conservative
 MAX_ANALYTIC_WORK = 20_000_000_000
 
 # the knapsack sweeps, verify_knapsack_sweep and verify_riordan, value every
@@ -94,28 +98,6 @@ MAX_ANALYTIC_WORK = 20_000_000_000
 # (riordan) and 0.85 s (knapsack) through the CLI with --format json on a
 # 2-core VM; at n = 800, 1.5 s and 4.4 s
 MAX_SWEEP_N = 500
-
-# str() takes integers of up to this many bits: under 640 digits, the lowest
-# sys.int_max_str_digits Python accepts
-_STR_BITS = 2_000
-
-
-def to_decimal(value: int) -> str:
-    """Decimal text of an integer of any size.
-
-    str() refuses integers longer than sys.int_max_str_digits (4300 digits
-    by default).  A longer value is split at a power of ten and its halves
-    converted in turn, so the limit never applies and no process-wide
-    setting changes.
-    """
-    if value < 0:
-        return "-" + to_decimal(-value)
-    if value.bit_length() <= _STR_BITS:
-        return str(value)
-    half = value.bit_length() * 3 // 20  # about half the digits: log10(2) ~ 0.3
-    high, low = divmod(value, 10**half)
-    return to_decimal(high) + to_decimal(low).zfill(half)
-
 
 def report_to_json(report: Report) -> dict:
     """Serialize a report; big integers become decimal strings."""
@@ -476,6 +458,8 @@ def verify_branch_rows(n: int, k: int, same_parity: bool) -> Report:
     is computed and verified per row.  More than one missing term, or any
     stray member, signals a regime mis-modeling and raises.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     family = second_part_family(n, k, same_parity)
     if not family:
         raise ValueError(f"empty family for (n, k) = {(n, k)}")

@@ -227,6 +227,28 @@ def format_shape(p) -> str:
     return ",".join(pieces)
 
 
+# str() takes integers of up to this many bits: under 640 digits, the lowest
+# sys.int_max_str_digits Python accepts
+_STR_BITS = 2_000
+
+
+def to_decimal(value: int) -> str:
+    """Decimal text of an integer of any size.
+
+    str() refuses integers longer than sys.int_max_str_digits (4300 digits
+    by default).  A longer value is split at a power of ten and its halves
+    converted in turn, so the limit never applies and no process-wide
+    setting changes.
+    """
+    if value < 0:
+        return "-" + to_decimal(-value)
+    if value.bit_length() <= _STR_BITS:
+        return str(value)
+    half = value.bit_length() * 3 // 20  # about half the digits: log10(2) ~ 0.3
+    high, low = divmod(value, 10**half)
+    return to_decimal(high) + to_decimal(low).zfill(half)
+
+
 def parse_shape(text: str) -> Partition:
     """Parse comma-separated parts with optional ^ repetition, e.g. 5,5,1^10.
 

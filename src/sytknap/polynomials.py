@@ -9,6 +9,7 @@ polynomial factors.  Degrees stay tiny, so clarity beats cleverness.
 
 from fractions import Fraction
 from math import factorial, gcd
+from operator import add
 
 
 class FactorialMismatch(ValueError):
@@ -78,7 +79,7 @@ class Poly:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.vars, out)
 

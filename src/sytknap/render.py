@@ -1,15 +1,8 @@
 """Text rendering for reports, certificates and the reproducible reference
 tables."""
 
-from .certificates import CertificateReport
-from .identities import (
-    Report,
-    Term,
-    to_decimal,
-    verify_knapsack,
-    verify_ladder,
-)
-from .partitions import format_shape, pad
+from .identities import Report, Term, verify_knapsack, verify_ladder
+from .partitions import format_shape, pad, to_decimal
 
 
 def format_term(term: Term, pad_to: int = 0) -> str:
@@ -57,7 +50,9 @@ def render_report(report: Report) -> str:
     return "\n".join(lines)
 
 
-def render_certificate(report: CertificateReport) -> str:
+def render_certificate(report) -> str:
+    """Text of a certificates.CertificateReport (that module is not imported
+    here, so rendering a report never loads the polynomial carrier)."""
     lines = [f"certify {report.name} -> {'PASS' if report.passed else 'FAIL'}"]
     lines += [f"  {label}: difference = {diff}" for label, diff in report.checks]
     return "\n".join(lines)

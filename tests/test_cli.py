@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -13,7 +15,7 @@ from sytknap.degrees import degree
 from sytknap.identities import MAX_HOOK_WRAP_WORK
 from sytknap.partitions import MAX_RIM_HOOK_CELLS, MAX_SHAPE_CELLS, branching_children, format_shape, partitions
 from sytknap.paths import catalan_number, syt_row_bounded_count
-from sytknap.render import render_table
+from sytknap.render import TABLES, render_table
 
 
 def run_cli(capsys, *args):
@@ -224,6 +226,81 @@ class TestVerifierRegistry:
         assert exc.value.code == 2
 
 
+class TestParserChoices:
+    """The parser writes its choices out so that building it loads no
+    subcommand module; they must stay the modules' own lists."""
+
+    @staticmethod
+    def help_text(capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_verify_ids(self):
+        # the parser offers exactly these keys: test_id_choices_are_the_registry_keys
+        ids = "knapsack,riordan,ladder,analytic,expansion,boundary,hookwrap,catalan-pair,branch"
+        assert ",".join(VERIFIERS) == ids
+
+    def test_path_kinds(self, capsys):
+        assert [k.value for k in paths.PathKind] == ["dyck", "motzkin", "riordan"]
+        assert "  --kind {dyck,motzkin,riordan}\n" in self.help_text(capsys, "paths")
+
+    def test_table_ids(self, capsys):
+        assert sorted(TABLES) == ["knapsack-n20", "knapsack-n32", "ladder-n35"]
+        assert "  --id {knapsack-n20,knapsack-n32,ladder-n35}\n" in self.help_text(capsys, "table")
+
+
+class TestImportFootprint:
+    """Each light command, run in a fresh interpreter, loads only what it
+    runs: no symbolic carrier, no search, no dataclasses."""
+
+    SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+    REPORT = (
+        "import sys\n"
+        "from sytknap.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+        "raise SystemExit(status)\n"
+    )
+    NO_REPORTS = {"sytknap.identities", "sytknap.certificates", "sytknap.polynomials", "sytknap.search",
+                  "dataclasses"}
+    NO_SYMBOLIC = {"sytknap.certificates", "sytknap.polynomials", "sytknap.search", "dataclasses", "fractions"}
+
+    def loaded(self, code, *argv):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        return set(done.stderr.splitlines()[-1].split())
+
+    @pytest.fixture(scope="class")
+    def preloaded(self):
+        """What a bare interpreter already holds (site hooks may load some)."""
+        return self.loaded("import sys; print(' '.join(sys.modules), file=sys.stderr)")
+
+    @pytest.mark.parametrize("argv", [
+        ("degree", "--shape", "5,5,1^10"),
+        ("degree", "--shape", "3,2,1", "--route", "enumerate"),
+        ("paths", "--kind", "riordan", "--n", "20"),
+        ("paths", "--kind", "dyck", "--n", "3", "--list"),
+    ])
+    def test_degree_and_paths(self, argv, preloaded):
+        loaded = self.loaded(self.REPORT, *argv)
+        assert {"sytknap.degrees", "sytknap.partitions"} <= loaded
+        assert not (loaded - preloaded) & self.NO_REPORTS
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--id", "knapsack", "--n", "20"),
+        ("verify", "--id", "riordan", "--n", "12", "--format", "json"),
+        ("table", "--id", "ladder-n35"),
+    ])
+    def test_verify_and_table(self, argv, preloaded):
+        loaded = self.loaded(self.REPORT, *argv)
+        assert {"sytknap.identities", "sytknap.render"} <= loaded
+        assert not (loaded - preloaded) & self.NO_SYMBOLIC
+
+
 class TestTableCommand:
     @pytest.mark.parametrize("table_id", ["knapsack-n20", "knapsack-n32", "ladder-n35"])
     def test_golden_byte_match(self, capsys, table_id):
@@ -428,6 +505,12 @@ class TestInputGuards:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_branch_size_below_one_names_the_given_size(self, capsys, n):
+        code, out, err = run_cli(capsys, "verify", "--id", "branch", "--n", n, "--k", "0", "--parity", "same")
+        assert code == 2 and out == ""
+        assert err == f"error: need n >= 1, got n={n}\n"
 
     @pytest.mark.parametrize(
         "call, args, message",

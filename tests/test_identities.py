@@ -539,6 +539,16 @@ class TestBranchRows:
         with pytest.raises(ValueError):
             verify_branch_rows(20, 10, False)
 
+    @pytest.mark.parametrize("n", [0, -1, -4])
+    def test_size_below_one_rejected_before_any_family(self, n, monkeypatch):
+        def never(*args):
+            raise AssertionError("a family was built")
+
+        monkeypatch.setattr(identities, "second_part_family", never)
+        for k in (0, 1):
+            with pytest.raises(ValueError, match=rf"^need n >= 1, got n={n}$"):
+                verify_branch_rows(n, k, True)
+
 
 class TestReportStructure:
     def test_term_breakdown_resums(self):
@@ -572,6 +582,43 @@ class TestReportStructure:
                 if t["side"] == "L"
             )
             assert str(total) == data["lhs"]
+
+
+class TestRecords:
+    """Term, Report and CertificateReport are plain classes, not dataclasses:
+    they keep field equality, their defaults, and fresh mutable defaults."""
+
+    def test_term_is_an_immutable_value(self):
+        term = Term("L", 1, (3, 1), 3)
+        assert term.kind == "partition"
+        assert term == Term("L", 1, (3, 1), 3, "partition") and hash(term) == hash(Term("L", 1, (3, 1), 3))
+        assert term != Term("L", -1, (3, 1), 3)
+        with pytest.raises(AttributeError):
+            term.value = 4
+
+    def test_report_defaults_and_equality(self):
+        report = Report("x", {"n": 1}, [Term("L", 1, (1,), 1)])
+        assert (report.regime, report.note, report.error, report.lhs_pad) == ("", "", "", 0)
+        assert report.extra == {} and report.checks == {}
+        twin = Report("x", {"n": 1}, [Term("L", 1, (1,), 1)])
+        assert report == twin and not report != twin
+        twin.checks["c"] = True
+        assert report != twin and report.checks == {}
+        assert Report("x", {}, [], extra=None).extra == {}
+        assert report != ("x", {"n": 1}) and not isinstance(report, tuple)
+        with pytest.raises(TypeError):
+            hash(report)
+
+    def test_report_fields_by_keyword_and_position(self):
+        by_position = Report("x", {}, [], "r", "n", "e", {"a": 1}, {"c": False}, 3)
+        by_keyword = Report(id="x", params={}, terms=[], regime="r", note="n", error="e",
+                            extra={"a": 1}, checks={"c": False}, lhs_pad=3)
+        assert by_position == by_keyword
+        assert repr(by_keyword).startswith("Report(id='x', params={}, terms=[], regime='r'")
+
+    def test_reports_from_verifiers_compare_equal(self):
+        assert verify_knapsack(20, 4) == verify_knapsack(20, 4)
+        assert verify_knapsack(20, 4)[0] != verify_knapsack(20, 4)[1]
 
 
 class TestDecimalText:

@@ -75,6 +75,12 @@ class TestPoly:
         assert (a + b) * c == a * c + b * c
         assert a + b == b + a
 
+    @settings(max_examples=60)
+    @given(small_poly(), small_poly(), st.integers(-9, 9), st.integers(-9, 9))
+    def test_product_evaluates_to_the_product_of_values(self, a, b, k, m):
+        point = {"k": k, "m": m}
+        assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
+
 
 class TestRationalFn:
     def test_equality_by_cross_multiplication(self):
@@ -212,6 +218,15 @@ class TestCertificates:
         assert rep["id"] == "certify-three-to-two"
         assert rep["pass"] is True
         assert all(c["difference"] == "0" for c in rep["checks"])
+
+    def test_report_defaults_and_equality(self):
+        report = certificates.CertificateReport("x", True)
+        assert report.checks == [] and report == certificates.CertificateReport("x", True, [])
+        other = certificates.CertificateReport("x", True)
+        other.checks.append(("label", "0"))
+        assert report.checks == [] and report != other
+        assert certify_all() == certify_all()
+        assert repr(report) == "CertificateReport(name='x', passed=True, checks=[])"
 
 
 class TestCertificateNumericConsistency:
