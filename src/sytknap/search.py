@@ -145,8 +145,9 @@ def find_equal_sum_pairs(
     MAX_HELD_TOP_SUBSETS subsets.  Otherwise levels top + 1 ... 2 top - 1,
     which join it only with smaller sizes, index just the top-size subsets
     whose sum a smaller size has, and level 2 top streams them in ascending
-    sum order from a heap over the size top - 1 subsets.  Three budgets
-    stop it early and return the partial, still-ranked results:
+    sum order from a heap over the size top - 1 subsets, rebuilt from the
+    size top - 2 ones only when that level is reached.  Three budgets stop
+    it early and return the partial, still-ranked results:
 
     - max_evals caps the subsets enumerated, in itertools.combinations
       order by size; pairs among the subsets enumerated before the cap are
@@ -187,14 +188,16 @@ def _search(pool, max_side, max_evals, max_results):
     (pairs, subsets enumerated, stopped_by)."""
     members = pool.members
     m = len(members)
-    values = [value for _, value in members]
     top = min(max_side, m)
     streamed = comb(m, top) > MAX_HELD_TOP_SUBSETS
     # tails[i]: (value, bit, index) of members i, i + 1, ...: what a subset
-    # whose last member is i - 1 grows by, in itertools.combinations order
-    tails = [[(values[j], 1 << j, j) for j in range(i, m)] for i in range(m + 1)]
+    # whose last member is i - 1 grows by, in itertools.combinations order;
+    # every tail is a slice of one list, so each member's item is built once
+    items = [(value, 1 << j, j) for j, (_, value) in enumerate(members)]
+    tails = [items[i:] for i in range(m + 1)]
     indexes: list[dict[int, list[int]]] = [{}]  # indexes[s]: sum -> size-s bitmasks
-    # (sum, bitmask, tail) of each subset one smaller than the largest indexed
+    # (sum, bitmask, tail) of each subset one smaller than the largest
+    # indexed; two smaller once a streamed top size is indexed
     frontier = [(0, 0, tails[0])]
     enumerated = 0
     evals_hit = False
@@ -204,17 +207,21 @@ def _search(pool, max_side, max_evals, max_results):
     pairs: list[FoundIdentity] = []
     for t in range(2, 2 * top + 1):
         if len(indexes) <= min(t - 1, top) and not evals_hit:
-            if len(indexes) > 1:
-                frontier = [
-                    (total + v, mask | b, tails[j + 1])
-                    for total, mask, tail in frontier
-                    for v, b, j in tail
-                ]
             filtered = streamed and len(indexes) == top
-            built, evals_hit = _grow(indexes, frontier, max_evals - enumerated, filtered)
+            grown = _extend(frontier, tails) if len(indexes) > 1 else frontier
+            if not filtered:
+                frontier = grown
+            budget = max_evals - enumerated
+            built, evals_hit = _grow(indexes, grown, budget, filtered)
             enumerated += built
+            del grown
         if streamed and t == 2 * top and len(indexes) == top + 1:
             indexes.clear()  # the streamed self-join reads only the frontier
+            # rebuild the size top - 1 frontier and replay _grow's cut on it;
+            # at top = 1 it is the size-0 frontier, which _grow cut in place
+            if top > 1:
+                frontier = _extend(frontier, tails)
+                _cut(frontier, budget)
             sums = _self_join_sums(frontier)
         else:
             sums = _level_sums(indexes, t)
@@ -229,7 +236,7 @@ def _search(pool, max_side, max_evals, max_results):
             if max_results is not None and len(pairs) + len(chunk) > max_results:
                 del chunk[max_results - len(pairs):]
                 stopped_by = "max_results"
-            pairs += [FoundIdentity(pool.n, a[1], b[1], total) for a, b in chunk]
+            pairs += [FoundIdentity(pool.n, left, right, total) for left, right in chunk]
             if stopped_by:
                 break
         if stopped_by:
@@ -237,6 +244,23 @@ def _search(pool, max_side, max_evals, max_results):
     if stopped_by is None and evals_hit:
         stopped_by = "max_evals"
     return pairs, enumerated, stopped_by
+
+
+def _extend(frontier, tails):
+    """The frontier one member larger, in itertools.combinations order."""
+    return [(total + v, mask | b, tails[j + 1]) for total, mask, tail in frontier for v, b, j in tail]
+
+
+def _cut(frontier, budget):
+    """Trim the frontier in place to its first budget subsets: the entries
+    whose tails fit, then the next one with its tail cut.  Returns whether
+    it cut."""
+    for i, (total, mask, tail) in enumerate(frontier):
+        if len(tail) > budget:
+            frontier[i:] = [(total, mask, tail[:budget])]
+            return True
+        budget -= len(tail)
+    return False
 
 
 def _grow(indexes, frontier, budget, filtered):
@@ -247,18 +271,14 @@ def _grow(indexes, frontier, budget, filtered):
     A filtered index keeps only the sums a smaller size has: all that
     levels top + 1 ... 2 top - 1 join a streamed top size with.  A cut
     counts the subset past it as built and trims the frontier in place to
-    the entries walked, the last with its tail cut, which is what the
-    streamed self-join then reads.
+    the entries walked (see _cut).
     """
+    cut = _cut(frontier, budget)
     wanted = set().union(*indexes[1:]) if filtered else None
     index = defaultdict(list)
     indexes.append(index)
     built = 0
-    for i, (total, mask, tail) in enumerate(frontier):
-        cut = len(tail) > budget - built
-        if cut:
-            tail = tail[: budget - built]
-            frontier[i:] = [(total, mask, tail)]
+    for total, mask, tail in frontier:
         if wanted is None:
             for v, b, _ in tail:
                 index[total + v].append(mask | b)
@@ -267,9 +287,7 @@ def _grow(indexes, frontier, budget, filtered):
                 if total + v in wanted:
                     index[total + v].append(mask | b)
         built += len(tail)
-        if cut:
-            return built + 1, True
-    return built, False
+    return built + cut, cut
 
 
 def _self_join_sums(frontier):
@@ -318,7 +336,8 @@ def _level_sums(indexes, t):
             common.update(total for total, masks in xs.items() if len(masks) > 1)
         else:
             common |= xs.keys() & ys.keys()
-    for total in sorted(common):
+    common = sorted(common)  # the set is dropped while the sums are joined
+    for total in common:
         cost = 0
         buckets = []
         for xs, ys in splits:
@@ -331,32 +350,34 @@ def _level_sums(indexes, t):
 
 
 def _join(buckets, sides):
-    """The disjoint pairs of one sum's buckets as (left side, right side),
-    sorted by the sides' index tuples."""
+    """The disjoint pairs of one sum's buckets as (left shapes, right
+    shapes), sorted by the sides' index tuples.  Members are sorted
+    descending, so index order is the reverse of shape order; and no side is
+    a prefix of another side with the same sum, as every degree is at least
+    1.  So descending shape order is index order."""
     chunk = [
         (sides[x], sides[y])
         for left, right in buckets
         for x, y in (combinations(left, 2) if left is right else product(left, right))
         if not x & y
     ]
-    chunk.sort()
+    chunk.sort(reverse=True)
     return chunk
 
 
 class _Sides(dict):
-    """Bitmask -> (member indexes, member shapes), decoded once per search.
-    Members are sorted descending, so each shape tuple is lex-descending."""
+    """Bitmask -> its members' shapes in index order, decoded once per
+    search.  Members are sorted descending, so each tuple is lex-descending."""
 
     def __init__(self, shapes):
         super().__init__()
         self.shapes = tuple(shapes)
-        self[0] = ((), ())
+        self[0] = ()
 
-    def __missing__(self, mask: int) -> tuple[tuple[int, ...], tuple[Partition, ...]]:
+    def __missing__(self, mask: int) -> tuple[Partition, ...]:
         # extend the decoded parent (mask without its top member) by one
         top = mask.bit_length() - 1
-        indexes, shapes = self[mask ^ 1 << top]
-        self[mask] = side = (indexes + (top,), shapes + (self.shapes[top],))
+        self[mask] = side = self[mask ^ 1 << top] + (self.shapes[top],)
         return side
 
 

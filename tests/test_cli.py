@@ -155,6 +155,21 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"error: knapsack sweep n={n} is over budget; the limit is n={identities.MAX_SWEEP_N}\n"
 
+    @pytest.mark.parametrize("limit", [5, None], ids=["patched", "default"])
+    def test_catalan_pair_over_budget_is_usage_error(self, capsys, monkeypatch, limit):
+        if limit is not None:
+            monkeypatch.setattr(identities, "MAX_CATALAN_PAIR_M", limit)
+        limit = identities.MAX_CATALAN_PAIR_M
+
+        def never(*args):
+            raise AssertionError("catalan-pair enumerated past its budget")
+
+        monkeypatch.setattr(identities, "partitions", never)
+        monkeypatch.setattr(identities, "square_two_tail_partitions", never)
+        code, out, err = run_cli(capsys, "verify", "--id", "catalan-pair", "--m", str(limit + 1), "--format", "json")
+        assert code == 2 and out == ""
+        assert err == f"error: catalan-pair m={limit + 1} is over budget; the limit is m={limit}\n"
+
     def test_json_past_the_str_digit_limit(self, capsys):
         argv = ("verify", "--id", "hookwrap", "--mu", "100^100", "--k", "2", "--format", "json")
         code, out, _ = run_cli(capsys, *argv)

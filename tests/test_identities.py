@@ -105,6 +105,27 @@ class TestSweepBudget:
             sweep(n)
 
 
+def _never_enumerated(*args):
+    raise AssertionError("catalan-pair enumerated past its budget")
+
+
+class TestCatalanPairBudget:
+    def test_at_and_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(identities, "MAX_CATALAN_PAIR_M", 9)
+        assert verify_catalan_pair(9).passed
+        monkeypatch.setattr(identities, "partitions", _never_enumerated)
+        monkeypatch.setattr(identities, "square_two_tail_partitions", _never_enumerated)
+        with pytest.raises(ValueError, match="^catalan-pair m=10 is over budget; the limit is m=9$"):
+            verify_catalan_pair(10)
+
+    def test_default_budget(self, monkeypatch):
+        m = identities.MAX_CATALAN_PAIR_M + 1
+        monkeypatch.setattr(identities, "partitions", _never_enumerated)
+        monkeypatch.setattr(identities, "square_two_tail_partitions", _never_enumerated)
+        with pytest.raises(ValueError, match=f"^catalan-pair m={m} is over budget;"):
+            verify_catalan_pair(m)
+
+
 class TestRiordan:
     def test_n20(self):
         reports = verify_riordan(20)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import chain, combinations
 from math import comb
@@ -179,29 +180,46 @@ class TestAgainstReferenceStreamed(TestAgainstReference):
 
 
 class TestJoinCanFail:
-    """The oracle comparison catches a join that keeps overlapping sides or
-    puts the later subset of a same-size pair on the left, and a top-size
-    self-join whose equal-sum groups are not in itertools.combinations
-    order."""
+    """The oracle comparison catches a join that keeps overlapping sides,
+    puts the later subset of a same-size pair on the left or sorts a sum's
+    pairs the wrong way round, a top-size self-join whose equal-sum groups
+    are not in itertools.combinations order, and a rebuilt top - 1 frontier
+    that does not replay a max_evals cut."""
 
-    @pytest.mark.parametrize(
-        "name, old, new",
-        [
-            ("_join", "        if not x & y\n", ""),
-            ("_join", "combinations(left, 2)", "((y, x) for x, y in combinations(left, 2))"),
-            ("_self_join_sums", "[(group, group)]", "[(masks := sorted(group), masks)]"),
-        ],
-        ids=["overlapping-sides", "self-join-order", "top-group-by-mask"],
-    )
-    def test_mutation_fails_the_oracle(self, monkeypatch, name, old, new):
+    @staticmethod
+    def mutate(monkeypatch, name, old, new):
         monkeypatch.setattr(search, "MAX_HELD_TOP_SUBSETS", 0)  # stream the top size too
         source = inspect.getsource(getattr(search, name))
         assert old in source
         namespace = dict(vars(search))
         exec(source.replace(old, new), namespace)  # a mutated copy
         monkeypatch.setattr(search, name, namespace[name])
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("_join", "        if not x & y\n", ""),
+            ("_join", "combinations(left, 2)", "((y, x) for x, y in combinations(left, 2))"),
+            ("_join", "chunk.sort(reverse=True)", "chunk.sort()"),
+            ("_self_join_sums", "[(group, group)]", "[(masks := sorted(group), masks)]"),
+        ],
+        ids=["overlapping-sides", "self-join-order", "ascending-shapes", "top-group-by-mask"],
+    )
+    def test_mutation_fails_the_oracle(self, monkeypatch, name, old, new):
+        self.mutate(monkeypatch, name, old, new)
         with pytest.raises(AssertionError):
             assert_matches_reference(build_pool(10), 3)
+
+    @pytest.mark.parametrize("n, max_side", [(9, 3), (10, 4)])
+    def test_rebuilt_frontier_without_the_cut_fails_the_oracle(self, monkeypatch, n, max_side):
+        pool = build_pool(n)
+        m = len(pool.members)
+        below = sum(comb(m, s) for s in range(1, max_side))
+        full = below + comb(m, max_side)
+        self.mutate(monkeypatch, "_search", "                _cut(frontier, budget)\n", "")
+        for max_evals in (below + 1, (below + full) // 2, full - 1):
+            with pytest.raises(AssertionError):
+                assert_matches_reference(pool, max_side, max_evals=max_evals, max_results=None)
 
 
 class TestTopSize:
@@ -275,15 +293,14 @@ class TestTopSize:
                 p for p in uncapped if len(p.left) + len(p.right) < 2 * max_side or p.total < first_out
             ]
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-    def test_top_size_is_never_indexed_whole(self):
-        # n = 20, side 4: holding the 521 855 size-4 subsets peaked near
-        # 95 MB; the filtered index and the streamed self-join near 52 MB.
-        # VmHWM is the peak of the fresh interpreter alone: ru_maxrss of a
-        # process started from this one counts this one's size too.
+    @staticmethod
+    def fresh_peak_mb(n, max_side):
+        """VmHWM of a fresh interpreter that runs one search: the peak of
+        that process alone, where ru_maxrss of a process started from this
+        one counts this one's size too."""
         code = (
             "from sytknap.search import build_pool, find_equal_sum_pairs\n"
-            "find_equal_sum_pairs(build_pool(20), max_side=4)\n"
+            f"find_equal_sum_pairs(build_pool({n}), max_side={max_side})\n"
             "with open('/proc/self/status') as fh:\n"
             "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
         )
@@ -292,14 +309,39 @@ class TestTopSize:
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
         )
-        assert int(done.stdout) / 1024 < 75
+        return int(done.stdout) / 1024
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_top_size_is_never_indexed_whole(self):
+        # n = 20, side 4: holding the 521 855 size-4 subsets peaked near
+        # 95 MB; the filtered index and the streamed self-join near 39 MB
+        # (51 MB with a tails list per member and the top - 1 frontier held)
+        assert self.fresh_peak_mb(20, 4) < 75
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_wide_pool_peak(self):
+        # build_pool(100) has 981 members: shared tail slices and no held
+        # top - 1 frontier take side 2 from 153 MB to 53 MB
+        assert self.fresh_peak_mb(100, 2) < 100
+
+    def test_traced_peak(self):
+        # the n = 20 side-4 search allocates at most 24 MB at once in Python
+        # objects: about 21 MB, where holding the top - 1 frontier, an index
+        # tuple per side and a tuple per (tail, member) took about 33 MB
+        pool = build_pool(20)
+        tracemalloc.start()
+        try:
+            find_equal_sum_pairs(pool, max_side=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < 24
 
 
 class TestSides:
     @staticmethod
     def decode(shapes, mask):
-        indexes = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        return indexes, tuple(shapes[i] for i in indexes)
+        return tuple(shapes[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
     def test_every_small_mask(self):
         shapes = [(30 - i,) for i in range(30)]
