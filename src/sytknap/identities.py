@@ -20,6 +20,7 @@ from .partitions import (
     rim_hook_count,
     second_part_family,
     square_two_tail_partitions,
+    straighten,
     three_row,
     to_decimal,
 )
@@ -80,16 +81,18 @@ class Report:
 # accepted up to k = 679 (1.3 s)
 MAX_HOOK_WRAP_WORK = 60_000_000
 
-# verify_analytic_ladder's budget on its terms, d(d+1)/2 + 2d + 2, so
-# d <= 197: at k = 3, m = 4d that takes 1.3 s on a 2-core VM, where d = 300
-# (45 752 terms) took 8.5 s
+# the ladder verifiers' budget on their terms, d(d+1)/2 + 2d + 2, so
+# d <= 197: at k = 3, m = 4d verify_analytic_ladder takes 1.3 s on a 2-core
+# VM, where d = 300 (45 752 terms) took 8.5 s.  verify_ladder, which also
+# takes a hook product per right-side term, ran 9.7 s at (200, 800, 800)
 MAX_ANALYTIC_TERMS = 20_000
 
-# and its budget on terms * n^2, where n = 2k + m is every term's leading
+# and their budget on terms * n^2, where n = 2k + m is every term's leading
 # factorial.  Time tracks that product: on a 2-core VM 1.2 s at
 # (d, k, m) = (197, 3, 788) (1.25e10), 2.0 s at (197, 100, 900) (2.41e10)
 # and 13 s at (197, 500, 2000) (1.79e11).  The limit was chosen when these
-# took about 1.8 times as long, so it is now conservative
+# took about 1.8 times as long, so it is now conservative.  verify_ladder
+# takes 1.9 s through the CLI at (100, 650, 650) (2.0e10)
 MAX_ANALYTIC_WORK = 20_000_000_000
 
 # the knapsack sweeps, verify_knapsack_sweep and verify_riordan, value every
@@ -292,50 +295,50 @@ def ladder_sum_terms(k: int, m: int, count: int) -> list[Term]:
     return _closed_form_terms("L", "fat-hook", _ladder_args(k, m, count))
 
 
-def _rhs_delta(k: int, delta: int) -> list[tuple]:
-    """The tail of the d = 2 ladder at m = k + delta, 1 <= delta <= 8."""
-    tails = {
-        1: [three_row(k + 2, k, k - 1), three_row(k + 2, k + 2, k - 3)],
-        2: [three_row(k + 2, k, k), three_row(k + 2, k + 2, k - 2)],
-        3: [three_row(k + 1, k + 1, k + 1), three_row(k + 2, k + 2, k - 1)],
-        4: [three_row(k + 2, k + 2, k)],
-        5: [three_row(k + 3, k + 1, k + 1)],
-        6: [three_row(k + 4, k + 1, k + 1), three_row(k + 2, k + 2, k + 2)],
-        7: [three_row(k + 5, k + 1, k + 1), three_row(k + 3, k + 3, k + 1)],
-        8: [three_row(k + 6, k + 1, k + 1), three_row(k + 4, k + 3, k + 1)],
-    }
-    return tails[delta]
+def _check_ladder_budget(name: str, d: int, k: int, m: int) -> None:
+    """Refuse a ladder of more than MAX_ANALYTIC_TERMS terms, d(d+1)/2 +
+    2d + 2, or of more than MAX_ANALYTIC_WORK terms * (2k+m)^2."""
+    terms = d * (d + 1) // 2 + 2 * d + 2
+    if terms > MAX_ANALYTIC_TERMS:
+        raise ValueError(f"{name} d={d} has {terms} terms; the limit is {MAX_ANALYTIC_TERMS}")
+    size = max(2 * k + m, 0)
+    if terms * size * size > MAX_ANALYTIC_WORK:
+        raise ValueError(
+            f"{name} d={d} has {terms} terms of size 2k+m={size}: "
+            f"work {terms * size * size}; the limit is {MAX_ANALYTIC_WORK}"
+        )
 
 
 def verify_ladder(d: int, k: int, m: int) -> Report:
-    """The odd ladder sum (2d+1 consecutive fat hooks) against its closed
-    forms: low-tail (m <= k), high-tail (m >= k + 6d - 3 > k), the two middle
-    cases at d = 1 (m - k in {1, 2}), and the eight intermediate cases at
-    d = 2 (1 <= m - k <= 8).  The regions are disjoint: one form applies.
-    """
+    """The odd ladder sum (2d+1 consecutive fat hooks) against the lead fat
+    hook plus the `_triangle`, each triple straightened at the beta numbers
+    (x+2, y+1, z), equal shapes summed with their signs and zeros dropped.
+    It is checked in five disjoint regions, which name the regime: low-tail
+    (m <= k), high-tail (m >= k + 6d - 3), middle (d = 1, m - k in {1, 2})
+    and delta (d = 2, 1 <= m - k <= 8).  Any other (d, k, m) is refused, and
+    so is a call past the ladder budget, before any term is built."""
     if d < 0 or k < 2 or m < 2:
         raise ValueError(f"need d >= 0 and k, m >= 2, got {(d, k, m)}")
-    if d == 0:
-        regime, tail = "trivial", []
-    elif max(2, 4 * (d - 1)) <= m <= k:
-        regime, tail = "low-tail", [three_row(*t) for t in _triangle(d, k, m)]
-    elif m >= k + 6 * d - 3:
-        # the low-tail triangle under the rotation certify_argument_rotation proves
-        tail = [three_row(z - 2, x + 1, y + 1) for x, y, z in _triangle(d, k, m)]
-        regime = "high-tail"
-    elif d == 1 and m - k in (1, 2):
-        regime, tail = "middle", []
-    elif d == 2 and 1 <= m - k <= 8 and k >= 6:
-        regime, tail = "delta", _rhs_delta(k, m - k)
-    else:
+    regions = {
+        "trivial": d == 0,
+        "low-tail": max(2, 4 * (d - 1)) <= m <= k,
+        "high-tail": m >= k + 6 * d - 3,
+        "middle": d == 1 and m - k in (1, 2),
+        "delta": d == 2 and 1 <= m - k <= 8 and k >= 6,
+    }
+    regime = next((name for name, holds in regions.items() if holds), None)
+    if regime is None:
         raise ValueError(f"no applicable closed form for (d, k, m) = {(d, k, m)}")
-    shapes = [fat_hook(*_ladder_lead(d, k, m))] + tail
-    if any(s is None for s in shapes):
-        raise ValueError(f"region {regime} produced a non-partition shape at {(d, k, m)}")
+    _check_ladder_budget("ladder", d, k, m)
+    net = {fat_hook(*_ladder_lead(d, k, m)): 1}
+    straight = [straighten((x + 2, y + 1, z)) for x, y, z in _triangle(d, k, m)]
+    for sign, shape in filter(None, straight):
+        net[shape] = net.get(shape, 0) + sign
+    rhs = [Term("R", sign, shape, degree(shape)) for shape, sign in net.items() if sign]
     return Report(
         id="ladder",
         params={"d": d, "k": k, "m": m},
-        terms=ladder_sum_terms(k, m, 2 * d + 1) + _partition_terms("R", shapes),
+        terms=ladder_sum_terms(k, m, 2 * d + 1) + rhs,
         regime=regime,
     )
 
@@ -351,15 +354,7 @@ def verify_analytic_ladder(d: int, k: int, m: int) -> Report:
     """
     if d < 0:
         raise ValueError("need d >= 0")
-    terms = d * (d + 1) // 2 + 2 * d + 2
-    if terms > MAX_ANALYTIC_TERMS:
-        raise ValueError(f"analytic ladder d={d} has {terms} terms; the limit is {MAX_ANALYTIC_TERMS}")
-    size = max(2 * k + m, 0)
-    if terms * size * size > MAX_ANALYTIC_WORK:
-        raise ValueError(
-            f"analytic ladder d={d} has {terms} terms of size 2k+m={size}: "
-            f"work {terms * size * size}; the limit is {MAX_ANALYTIC_WORK}"
-        )
+    _check_ladder_budget("analytic ladder", d, k, m)
     params = {"d": d, "k": k, "m": m}
     ladder, lead, tail = _ladder_args(k, m, 2 * d + 1), _ladder_lead(d, k, m), _triangle(d, k, m)
     try:

@@ -100,6 +100,19 @@ def _beta_numbers(p: Partition, size: int) -> list[int]:
     return [(p[i] if i < len(p) else 0) + (rows - 1 - i) for i in range(rows)]
 
 
+def straighten(beta) -> tuple[int, Partition] | None:
+    """The signed partition that beta numbers stand for in Frobenius's
+    formula, which is alternating in them: None (zero) when two are equal or
+    one is negative, else (the sign of sorting them descending, counted by
+    inversions, and the partition sorted(beta) - (r-1, ..., 1, 0))."""
+    rows = len(beta)
+    if len(set(beta)) < rows or min(beta, default=0) < 0:
+        return None
+    inversions = sum(b < c for i, b in enumerate(beta) for c in beta[i + 1:])
+    ordered = sorted(beta, reverse=True)
+    return (-1) ** inversions, make_partition([b - (rows - 1 - i) for i, b in enumerate(ordered)])
+
+
 def rim_hook_count(p: Partition, size: int) -> int:
     """The number of rim hooks of `size` cells that can be added to p, the
     length of add_rim_hooks(p, size): the beta numbers b with b + size not

@@ -69,9 +69,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -97,9 +94,6 @@ class Poly:
         if isinstance(other, int):
             other = Poly.constant(self.vars, other)
         return isinstance(other, Poly) and self.vars == other.vars and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.vars, self.key()))
 
     def key(self) -> tuple:
         """Canonical hashable form (sorted exponent/coefficient pairs)."""
@@ -228,9 +222,6 @@ class RationalFn:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -247,16 +238,11 @@ class RationalFn:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFn(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
-
-    __hash__ = None
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -266,11 +252,6 @@ class RationalFn:
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at {values}")
         return Fraction(self.num.evaluate(values), den)
-
-    def __repr__(self):
-        if self.den == Poly.constant(self.den.vars, 1):
-            return repr(self.num)
-        return f"({self.num!r}) / ({self.den!r})"
 
 
 def cross_diff(a, b) -> Poly:
@@ -367,13 +348,6 @@ class FactorialProduct:
                 raise ValueError(f"factorial of negative integer {arg} at {values}")
             result = result * factorial(arg) if exp == 1 else result / factorial(arg)
         return result
-
-    def __repr__(self):
-        pieces = [
-            f"({base + shift!r})!" + ("" if exp == 1 else "^-1")
-            for base, shift, exp in self.factors
-        ]
-        return " * ".join(pieces + [f"[{self.poly_part!r}]"])
 
 
 def _shift_ratio(base: Poly, c_num: int, c_den: int) -> RationalFn:

@@ -132,6 +132,28 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "error: analytic ladder d=2 has 9 terms of size 2k+m=15: work 2025; the limit is 2024\n"
 
+    def test_ladder_terms_over_budget_is_usage_error(self, capsys, monkeypatch):
+        # d = 2 counts 9 terms, as the analytic ladder does
+        argv = ("verify", "--id", "ladder", "--d", "2", "--k", "6", "--m", "10")
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_TERMS", 9)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "[delta] -> PASS" in out
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_TERMS", 8)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: ladder d=2 has 9 terms; the limit is 8\n"
+
+    def test_ladder_work_over_budget_is_usage_error(self, capsys, monkeypatch):
+        # d = 2 at 2k+m = 22: work 9 * 22^2 = 4356
+        argv = ("verify", "--id", "ladder", "--d", "2", "--k", "6", "--m", "10")
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 4356)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "[delta] -> PASS" in out
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 4355)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: ladder d=2 has 9 terms of size 2k+m=22: work 4356; the limit is 4355\n"
+
     @pytest.mark.parametrize(
         "argv, kind",
         [(("paths", "--kind", "motzkin"), "motzkin"), (("verify", "--id", "riordan"), "riordan")],

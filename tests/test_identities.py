@@ -23,7 +23,7 @@ from sytknap.identities import (
     verify_ladder,
     verify_riordan,
 )
-from sytknap.partitions import MAX_RIM_HOOK_CELLS, partitions
+from sytknap.partitions import MAX_RIM_HOOK_CELLS, make_partition, partitions, straighten
 from sytknap.paths import PathKind, count_paths
 
 
@@ -231,6 +231,49 @@ class TestLadder:
                             verify_ladder(d, k, m)
 
 
+def _never_built(*args):
+    raise AssertionError("a term was built past the budget")
+
+
+class TestLadderBudget:
+    """verify_ladder shares the analytic ladder's term and work budgets."""
+
+    def test_term_budget(self, monkeypatch):
+        # d = 2 counts 9 terms: 5 ladder terms, the lead and a 3-term triangle
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_TERMS", 9)
+        assert verify_ladder(2, 6, 10).passed
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_TERMS", 8)
+        monkeypatch.setattr(identities, "fat_hook_value", _never_built)
+        monkeypatch.setattr(identities, "degree", _never_built)
+        with pytest.raises(ValueError, match="^ladder d=2 has 9 terms; the limit is 8$"):
+            verify_ladder(2, 6, 10)
+
+    def test_work_budget(self, monkeypatch):
+        # d = 2, k = 6, m = 10: 9 terms whose leading factorial is 22!
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 9 * 22**2)
+        assert verify_ladder(2, 6, 10).passed
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 9 * 22**2 - 1)
+        monkeypatch.setattr(identities, "fat_hook_value", _never_built)
+        monkeypatch.setattr(identities, "degree", _never_built)
+        with pytest.raises(ValueError, match=r"^ladder d=2 has 9 terms of size 2k\+m=22: work 4356; the limit is 4355$"):
+            verify_ladder(2, 6, 10)
+
+    def test_default_budget(self, monkeypatch):
+        # (100, 650, 650) is the largest low-tail call at d = 100 and k = m;
+        # (200, 800, 800) ran 9.7 s and (400, 2, 4000) 118 s before the budget
+        assert 5_252 * 1_950**2 <= identities.MAX_ANALYTIC_WORK < 5_252 * 1_952**2
+        monkeypatch.setattr(identities, "fat_hook_value", _never_built)
+        monkeypatch.setattr(identities, "degree", _never_built)
+        for d, k, m in [(200, 800, 800), (400, 2, 4000), (100, 651, 650)]:
+            with pytest.raises(ValueError, match=f"^ladder d={d} has .* the limit is"):
+                verify_ladder(d, k, m)
+
+    def test_region_is_checked_first(self, monkeypatch):
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_TERMS", 0)
+        with pytest.raises(ValueError, match="no applicable closed form"):
+            verify_ladder(3, 10, 15)
+
+
 class TestAnalyticLadder:
     def test_small_instance(self):
         rep = verify_analytic_ladder(1, 4, 11)
@@ -330,13 +373,18 @@ class TestAnalyticLadder:
         assert rep.error.startswith("total -2000000000 < 0") and not rep.passed
 
 
-def _fails(verify, *args) -> bool:
-    """True when the report fails or the call raises the non-partition error."""
-    try:
-        return not verify(*args).passed
-    except ValueError as exc:
-        assert "non-partition shape" in str(exc), exc
-        return True
+def _unsigned(beta):
+    straight = straighten(beta)
+    return straight and (1, straight[1])
+
+
+def _keeps_equal_betas(beta):
+    # a triple with two equal betas is kept, as the shape its parts sort to
+    straight = straighten(beta)
+    if straight is None and min(beta) >= 0:
+        parts = [b - (len(beta) - 1 - i) for i, b in enumerate(sorted(beta, reverse=True))]
+        return 1, make_partition(sorted(parts, reverse=True))
+    return straight
 
 
 # one call per report built from the triangle, by region
@@ -345,6 +393,8 @@ TRIANGLE_CALLS = [
     (verify_ladder, (3, 12, 9), "low-tail"),
     (verify_ladder, (1, 7, 21), "high-tail"),
     (verify_ladder, (2, 5, 15), "high-tail"),
+    (verify_ladder, (2, 6, 10), "delta"),
+    (verify_ladder, (2, 9, 13), "delta"),
     (verify_analytic_ladder, (1, 4, 11), "analytic"),
     (verify_analytic_ladder, (3, 6, 10), "analytic"),
 ]
@@ -363,7 +413,7 @@ class TestLadderVerifiersCanFail:
     def test_triangle_missing_its_last_triple(self, monkeypatch, verify, args, regime):
         triangle = identities._triangle
         monkeypatch.setattr(identities, "_triangle", lambda d, k, m: triangle(d, k, m)[:-1])
-        assert _fails(verify, *args)
+        assert not verify(*args).passed
 
     @pytest.mark.parametrize("verify, args, regime", TRIANGLE_CALLS)
     def test_triangle_argument_off_by_one(self, monkeypatch, verify, args, regime):
@@ -374,7 +424,25 @@ class TestLadderVerifiersCanFail:
             return [(x, y, z + 1)] + rest
 
         monkeypatch.setattr(identities, "_triangle", shifted)
-        assert _fails(verify, *args)
+        assert not verify(*args).passed
+
+    @pytest.mark.parametrize("args", [(2, 6, 10), (2, 10, 15)], ids=["delta4", "delta5"])
+    def test_straightening_without_its_sign(self, monkeypatch, args):
+        # over d <= 5, k < 30, m < 60 only d = 2 at m - k in {4, 5} has a
+        # triple of sign -1; it cancels a +1 term of the same shape
+        straight = [straighten((x + 2, y + 1, z)) for x, y, z in identities._triangle(*args)]
+        assert any(s and s[0] < 0 for s in straight)
+        monkeypatch.setattr(identities, "straighten", _unsigned)
+        assert not verify_ladder(*args).passed
+
+    @pytest.mark.parametrize(
+        "args",
+        [(1, 11, 12), (1, 11, 13), (2, 6, 7), (2, 8, 10), (2, 6, 9), (2, 7, 13), (2, 9, 16), (2, 12, 20)],
+        ids=["middle1", "middle2", "delta1", "delta2", "delta3", "delta6", "delta7", "delta8"],
+    )
+    def test_straightening_keeps_equal_betas(self, monkeypatch, args):
+        monkeypatch.setattr(identities, "straighten", _keeps_equal_betas)
+        assert not verify_ladder(*args).passed
 
     @pytest.mark.parametrize(
         "verify, args",
@@ -391,7 +459,7 @@ class TestLadderVerifiersCanFail:
     def test_ladder_one_term_short(self, monkeypatch, verify, args):
         ladder_args = identities._ladder_args
         monkeypatch.setattr(identities, "_ladder_args", lambda k, m, count: ladder_args(k, m, count - 1))
-        assert _fails(verify, *args)
+        assert not verify(*args).passed
 
 
 class TestExpansion:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sytknap.degrees import degree, three_row_value
 from sytknap.partitions import (
     MAX_SHAPE_CELLS,
     add_rim_hooks,
@@ -19,6 +20,7 @@ from sytknap.partitions import (
     rim_hook_count,
     second_part_family,
     square_two_tail_partitions,
+    straighten,
     three_row,
 )
 
@@ -206,6 +208,33 @@ class TestRimHooks:
                         padded_mu = pad(mu, len(lam))
                         assert all(a >= b for a, b in zip(lam, padded_mu))
                         assert _is_rim_strip(lam, padded_mu)
+
+
+class TestStraighten:
+    def test_examples(self):
+        assert straighten((4, 2, 0)) == (1, (2, 1))
+        assert straighten((2, 4, 0)) == (-1, (2, 1))
+        assert straighten((0, 4, 2)) == (1, (2, 1))  # a cyclic rotation is even
+        assert straighten((6, 1)) == (1, (5, 1))
+        assert straighten(()) == (1, ())
+        assert straighten((3, 3, 0)) is None
+        assert straighten((4, 2, -1)) is None
+
+    def test_three_row_values_in_a_box(self):
+        # the three-row closed form at any triple is 0 or +-f(lambda), as
+        # straightening its beta numbers (x+2, y+1, z) says
+        signs = {-1: 0, 0: 0, 1: 0}
+        for x in range(-6, 12):
+            for y in range(-6, 12):
+                for z in range(-6, 12):
+                    if x + y + z < 0:
+                        continue
+                    straight = straighten((x + 2, y + 1, z))
+                    sign, shape = straight or (0, ())
+                    assert three_row_value(x, y, z) == sign * degree(shape), (x, y, z, straight)
+                    signs[sign] += 1
+        # every outcome is reached, so no branch is checked vacuously
+        assert min(signs.values()) > 500, signs
 
 
 def _is_rim_strip(lam, mu):

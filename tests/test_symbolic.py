@@ -68,6 +68,12 @@ class TestPoly:
         with pytest.raises(ValueError):
             _ = k + x
 
+    def test_negative_power_rejected(self):
+        (k, m) = poly_ring("k", "m")
+        assert (k + m) ** 0 == 1
+        with pytest.raises(ValueError, match="^negative polynomial powers are not defined$"):
+            _ = (k + m) ** -1
+
     @settings(max_examples=60)
     @given(small_poly(), small_poly(), small_poly())
     def test_ring_laws(self, a, b, c):
@@ -103,6 +109,18 @@ class TestRationalFn:
         (k, m) = poly_ring("k", "m")
         with pytest.raises(ZeroDivisionError):
             RationalFn(k, Poly.constant(("k", "m"), 0))
+
+    def test_division_by_zero_rejected(self):
+        (k, m) = poly_ring("k", "m")
+        with pytest.raises(ZeroDivisionError, match="^division by the zero rational function$"):
+            _ = RationalFn(k, m) / RationalFn(k - k)
+
+    def test_evaluate_where_the_denominator_vanishes(self):
+        (k, m) = poly_ring("k", "m")
+        f = RationalFn(k + 1, k - m)
+        assert f.evaluate({"k": 3, "m": 1}) == Fraction(2)
+        with pytest.raises(ZeroDivisionError, match="^denominator vanishes at"):
+            f.evaluate({"k": 2, "m": 2})
 
     def test_arithmetic(self):
         (k, m) = poly_ring("k", "m")
@@ -151,6 +169,23 @@ class TestFactorialProduct:
         (k, m) = poly_ring("k", "m")
         with pytest.raises(ValueError):
             FactorialProduct([(Poly.constant(("k", "m"), -2), 1)])
+
+    def test_empty_product_rejected(self):
+        with pytest.raises(ValueError, match="^a factorial product needs at least one factorial$"):
+            FactorialProduct([])
+
+    def test_exponent_other_than_plus_minus_one_rejected(self):
+        (k, m) = poly_ring("k", "m")
+        for exp in (0, 2, -2):
+            with pytest.raises(ValueError, match=r"^factorial exponents must be \+1 or -1$"):
+                FactorialProduct([(k, exp)])
+
+    def test_evaluate_at_a_negative_argument_rejected(self):
+        (k, m) = poly_ring("k", "m")
+        fp = FactorialProduct([(k - m, 1), (m, -1)])
+        assert fp.evaluate({"k": 5, "m": 2}) == Fraction(factorial(3), factorial(2))
+        with pytest.raises(ValueError, match="^factorial of negative integer -1 at"):
+            fp.evaluate({"k": 1, "m": 2})
 
     def test_nonlinear_argument_rejected(self):
         (k, m) = poly_ring("k", "m")
