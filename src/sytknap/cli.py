@@ -246,10 +246,19 @@ def main(argv=None) -> int:
             # join drops the base directory for an absolute path
             with open(os.path.join(os.environ.get(OUT_DIR_ENV, ""), args.out), "w") as fh:
                 fh.writelines(pieces)
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout early: point it at devnull, so that the
+        # interpreter's final flush of what is left cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.writelines(pieces)
     return status
 
 

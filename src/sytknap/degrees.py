@@ -20,30 +20,44 @@ _factorial = lru_cache(maxsize=64)(factorial)
 def _degree(p: Partition) -> int:
     """n! over the product of all hook lengths (Frame, Robinson and Thrall).
 
-    The product is taken by blocks.  The columns fall into blocks, one per
-    distinct part: a block (part, height) holds the columns left..part-1
-    (left being the previous block's part), all of length height.  In row i
-    the block's cells have consecutive hook lengths row+height-i-left-1
-    down to row+height-i-part, so it contributes one falling factorial.  Row
-    i meets the blocks smallest part first and stops at its own part.
+    The product is taken by rectangles.  Each distinct part gives a run of
+    equal rows, top..end-1, and a block of equal columns, left..part-1
+    (left being the next smaller part, or 0), all of height end.  The run
+    of length `row` meets each block of part <= row in a rectangle of
+    `rows` rows and `width` columns whose hook lengths are corner - i - j,
+    where corner = row + height - top - left - 1 (height and left the
+    block's, top the run's) is the hook of its top left cell.  Its product
+    is that of perm(corner - i, width) over i < rows, which equals that of
+    perm(corner - j, rows) over j < width, so it takes min(rows, width)
+    falling factorials: one for a single row or column.  The parts are
+    found a run at a time from the bottom, by index().
     """
     if not p:
         return 1
-    blocks = []  # (part, rows reaching it), smallest part first
-    last = 0
-    for height in range(len(p), 0, -1):
+    # per distinct part, smallest first: its block's part, width and reach
+    # (height - left - 1), then its run's base (part - top) and rows; a
+    # rectangle's corner is its run's base plus its block's reach
+    blocks = []
+    height, left = len(p), 0
+    while height:
         part = p[height - 1]
-        if part > last:
-            blocks.append((part, height))
-            last = part
+        top = p.index(part)
+        blocks.append((part, part - left, height - left - 1, part - top, height - top))
+        height, left = top, part
     prod = 1
-    for i, row in enumerate(p):
-        left = 0
-        for part, height in blocks:
-            prod *= perm(row + height - i - left - 1, part - left)
+    for row, _, _, base, rows in reversed(blocks):
+        for part, width, reach, _, _ in blocks:
+            corner = base + reach
+            if rows == 1:  # a single row: the next branch without its loop
+                prod *= perm(corner, width)
+            elif rows <= width:
+                for i in range(rows):
+                    prod *= perm(corner - i, width)
+            else:
+                for j in range(width):
+                    prod *= perm(corner - j, rows)
             if part == row:
                 break
-            left = part
     q, r = divmod(_factorial(sum(p)), prod)
     if r:
         raise ArithmeticError(f"hook product does not divide n! for {p}")

@@ -76,9 +76,9 @@ class Report:
 
 # verify_hook_wrap's budget on hooks * n * isqrt(n): the rim hooks that can
 # be added, each giving a shape of n = cells + k cells whose hook product
-# costs about n^1.5.  The slowest case measured under it, the column 1^10000
-# at k = 58, takes 2.4 s on a 2-core VM; the staircase (51, 50, ..., 1) is
-# accepted up to k = 679 (1.3 s)
+# costs about n^1.5.  Through the CLI on a 2-core VM, the staircase
+# (51, 50, ..., 1), accepted up to k = 679, takes 0.9 s at that k, and the
+# column 1^10000 at k = 58 0.7 s
 MAX_HOOK_WRAP_WORK = 60_000_000
 
 # the ladder verifiers' budget on their terms, d(d+1)/2 + 2d + 2, so
@@ -92,7 +92,8 @@ MAX_ANALYTIC_TERMS = 20_000
 # (d, k, m) = (197, 3, 788) (1.25e10), 2.0 s at (197, 100, 900) (2.41e10)
 # and 13 s at (197, 500, 2000) (1.79e11).  The limit was chosen when these
 # took about 1.8 times as long, so it is now conservative.  verify_ladder
-# takes 1.9 s through the CLI at (100, 650, 650) (2.0e10)
+# takes 1.9 s through the CLI at (100, 650, 650) (2.0e10), and 0.6 s at
+# (0, 2, 99 990), near the largest 2k + m accepted at d = 0
 MAX_ANALYTIC_WORK = 20_000_000_000
 
 # the knapsack sweeps, verify_knapsack_sweep and verify_riordan, value every

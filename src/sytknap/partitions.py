@@ -173,17 +173,17 @@ def second_part_family(n: int, k: int, same_parity: bool = True) -> list[Partiti
     """Three-part partitions of n whose second part is exactly k, filtered by
     whether the third part has the same parity as k.
 
-    Zero third parts are allowed (stored canonically without the zero).
-    Sorted by decreasing first part.  Empty when no such partition exists.
+    Zero third parts are allowed, stored canonically without the zero; the
+    bounds 0 <= third <= min(k, n - 2k) make each triple a partition, so none
+    is validated.  Sorted by decreasing first part; empty when none exists.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    out = []
-    top = min(k, n - 2 * k)
-    for third in range(0, top + 1):
-        if (third % 2 == k % 2) == same_parity:
-            out.append(make_partition((n - k - third, k, third)))
-    return out
+    first = k % 2 if same_parity else 1 - k % 2
+    return [
+        (n - k - t, k, t) if t else (n - k, k) if k else (n,) if n else ()
+        for t in range(first, min(k, n - 2 * k) + 1, 2)
+    ]
 
 
 def fat_hook(a: int, b: int, t: int) -> Partition | None:

@@ -587,6 +587,56 @@ class TestOutFile(object):
         assert not (tmp_path / "missing").exists()
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early gets exit 2 and one error line."""
+
+    def test_in_process(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "w") as target:
+            class Closed:
+                def writelines(self, pieces):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr(sys, "stdout", Closed())
+            code = main(["degree", "--shape", "3,2"])
+            # the descriptor now leads to devnull, so a final flush cannot fail
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: [Errno 32] Broken pipe\n"
+
+    # stdout block-buffered, as it is on a pipe unless PYTHONUNBUFFERED is set
+    ENV = dict({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+
+    def test_reader_gone_before_a_short_output(self):
+        # "5\n" waits in the stdout buffer: the flush in main, not the
+        # interpreter's exit, must meet the closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "sytknap", "degree", "--shape", "3,2"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=self.ENV, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+    def test_reader_closes_after_100_bytes(self):
+        # 214 KB of output in many pieces, far more than a pipe holds, so the
+        # child still has writes to make when the reader closes
+        child = subprocess.Popen([sys.executable, "-m", "sytknap", "verify", "--id", "knapsack", "--n", "300"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV)
+        head = child.stdout.read(100)
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 2
+        assert len(head) == 100
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 ANALYTIC_ERROR = "total -8 < 0: leading factorial undefined"
 
 

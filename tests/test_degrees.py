@@ -110,29 +110,66 @@ class TestHookProductOracle:
         assert_hook_formula(p)
 
     def test_staircase(self):
-        # every block is a single cell: the worst case for the block product
+        # every rectangle is a single cell: the worst case for the product
         assert_hook_formula(tuple(range(140, 0, -1)))
+
+    def test_columns(self):
+        for m in range(1, 301):
+            assert_hook_formula((1,) * m)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 10, 99, 500, 1999, 2000])
+    def test_long_fat_hooks(self, m):
+        for k in (1, 2, 3, 7, 40):
+            assert_hook_formula(fat_hook(k, k, m))
+            assert_hook_formula(fat_hook(k + 1, k, m))
+
+    def test_rectangles_both_ways(self):
+        for a, b in [(2, 1), (3, 2), (7, 3), (20, 5), (40, 39), (100, 2)]:
+            assert_hook_formula((a,) * b)
+            assert_hook_formula((b,) * a)
+
+    @pytest.mark.parametrize("p", [
+        (3,) * 9 + (1,) * 4,  # runs taller than their blocks are wide
+        (20, 20, 20) + (2,) * 7,
+        (30, 30, 5, 5, 5, 5, 5, 5, 5, 2, 2),  # both kinds in one shape
+        (50, 50) + (40,) * 2 + (10,) * 3,  # runs shorter than their blocks
+        (9,) * 4 + (8,) * 4 + (3,) * 6 + (1,) * 5,
+    ])
+    def test_repeated_rows(self, p):
+        assert_hook_formula(p)
 
 
 class TestBlockCalls:
-    """The block walk makes the falling-factorial calls of the column-length
-    formula, in the same order, so the mutants below stay the same."""
+    """The rectangle walk makes the falling-factorial calls of a walk over
+    runs of equal rows and blocks of equal columns, built here from the
+    conjugate and the run lengths, in the same order, so the mutants below
+    stay the same."""
 
     @staticmethod
-    def conjugate_calls(p):
-        # row i, column block starting at j: its length c = conj[j] and its
-        # end p[c - 1] give perm(row + c - i - j - 1, end - j)
-        conj, calls = conjugate(p), []
-        for i, row in enumerate(p):
+    def rectangle_calls(p):
+        # the run of `rows` rows of length `row` from row `top` meets the
+        # column block starting at j (length c = conj[j], ending at p[c - 1])
+        # in a rectangle whose top left hook is row + c - top - j - 1; its
+        # product takes one falling factorial per cell of its shorter side
+        conj, calls, top = conjugate(p), [], 0
+        while top < len(p):
+            row = p[top]
+            rows = p.count(row)
             j = 0
             while j < row:
                 c = conj[j]
                 end = p[c - 1]
-                calls.append((row + c - i - j - 1, end - j))
+                corner, width = row + c - top - j - 1, end - j
+                if rows <= width:
+                    calls += [(corner - i, width) for i in range(rows)]
+                else:
+                    calls += [(corner - i, rows) for i in range(width)]
                 j = end
+            top += rows
         return calls
 
-    def test_every_partition_to_20(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = []
 
         def recorder(n, k):
@@ -140,20 +177,35 @@ class TestBlockCalls:
             return math.perm(n, k)
 
         monkeypatch.setattr(degrees, "perm", recorder)
+        return calls
+
+    def test_every_partition_to_20(self, calls):
         for n in range(1, 21):
             for p in partitions(n):
                 calls.clear()
                 degree_uncached(p)
-                assert calls == self.conjugate_calls(p), p
+                assert calls == self.rectangle_calls(p), p
+
+    @pytest.mark.parametrize("p, count", [
+        ((9, 5, 2), 6),  # distinct rows: one call per row and block, as a row walk makes
+        ((6, 6) + (1,) * 50, 4),
+        ((7, 6) + (1,) * 50, 6),
+        ((1,) * 200, 1),
+        ((4,) * 9, 4),
+    ])
+    def test_call_counts(self, calls, p, count):
+        degree_uncached(p)
+        assert len(calls) == count
 
 
 class TestHookProductCanFail:
     """A block width off by one must be caught by the independent routes."""
 
     @pytest.fixture(params=[-1, 1], ids=["narrow", "wide"])
-    def slipped(self, monkeypatch, request):
+    def slip(self, monkeypatch, request):
         slip = request.param
         monkeypatch.setattr(degrees, "perm", lambda n, k: math.perm(n, k + slip))
+        return slip
 
     @staticmethod
     def disagrees(p, other):
@@ -162,14 +214,16 @@ class TestHookProductCanFail:
         except ArithmeticError:  # the exact-division check, or a zero product
             return True
 
-    def test_enumeration_catches_it(self, slipped):
-        # single rows escape a narrow slip: perm(n, n - 1) == perm(n, n)
+    def test_enumeration_catches_it(self, slip):
+        # a single row or column is one falling factorial, perm(n, n), and
+        # escapes a narrow slip: perm(n, n - 1) == perm(n, n); the wide slip
+        # must catch every shape, rows and columns included
         for n in range(2, 12):
             for p in partitions(n):
-                if len(p) > 1:
+                if slip > 0 or (len(p) > 1 and p[0] > 1):
                     assert self.disagrees(p, syt_enumerate(p)), p
 
-    def test_closed_forms_catch_it(self, slipped):
+    def test_closed_forms_catch_it(self, slip):
         for r, s, t in [(3, 2, 1), (40, 25, 10), (100, 100, 50)]:
             assert self.disagrees((r, s, t), degree_three_row(r, s, t))
         for a, b, t in [(2, 2, 1), (30, 12, 40), (60, 60, 120)]:

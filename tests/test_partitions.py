@@ -285,6 +285,16 @@ class TestSecondPartFamily:
         fam = second_part_family(20, 2, True)
         assert fam[0] == (18, 2)
 
+    def test_members_are_canonical_partitions(self):
+        # built without make_partition, each member must already be what it
+        # returns, down to n = 0 and k = 0
+        assert second_part_family(0, 0) == [()] and second_part_family(7, 0) == [(7,)]
+        for n in range(31):
+            for k in range(n + 1):
+                for same in (True, False):
+                    for p in second_part_family(n, k, same):
+                        assert make_partition(p) == p and sum(p) == n, (n, k, same)
+
     def test_union_is_all_three_part_with_fixed_second(self):
         for n in range(1, 31):
             for k in range(n + 1):
