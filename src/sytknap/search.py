@@ -51,8 +51,11 @@ def build_pool(n: int, families=("3part", "fathook")) -> Pool:
 
 
 # The join's candidate comparisons per call: a search stops before the sum
-# that would take it past this many (about 2 s of join work on a 2-core VM).
-# The largest benchmark search makes 1 824 092, the README example 106 902.
+# that would take it past this many.  They are counted whether a split is
+# scanned or joined through what its pairs leave out, so the join work they
+# stand for varies: about 2 s on a 2-core VM at n = 10, side 10, where half
+# are scanned, and 0.35 s at n = 9, side 9, where nearly all are not.  The
+# largest benchmark search counts 1 824 092, the README example 106 902.
 MAX_JOIN_CANDIDATES = 20_000_000
 
 # The largest side size is held whole when it has at most this many subsets
@@ -146,8 +149,14 @@ def find_equal_sum_pairs(
     which join it only with smaller sizes, index just the top-size subsets
     whose sum a smaller size has, and level 2 top streams them in ascending
     sum order from a heap over the size top - 1 subsets, rebuilt from the
-    size top - 2 ones only when that level is reached.  Three budgets stop
-    it early and return the partial, still-ranked results:
+    size top - 2 ones only when that level is reached.
+
+    A level-t pair leaves out m - t of the pool's m members, so no pair
+    exists past t = m, and levels near it, where few subsets are left out
+    at a sum, join through those (see _join), with the same output.
+
+    Three budgets stop it early and return the partial, still-ranked
+    results:
 
     - max_evals caps the subsets enumerated, in itertools.combinations
       order by size; pairs among the subsets enumerated before the cap are
@@ -156,8 +165,9 @@ def find_equal_sum_pairs(
       soon as one more pair exists, so larger subsets may never be built.
     - MAX_JOIN_CANDIDATES caps the join's candidate comparisons: for each
       sum, |A| * |B| for the size-a and size-b subsets A and B with that
-      sum, or C(|A|, 2) when a = b.  The search stops before the sum that
-      would exceed it, so the pairs kept are a prefix of the uncapped ones.
+      sum, or C(|A|, 2) when a = b, whichever way that split is joined.  The
+      search stops before the sum that would exceed it, so the pairs kept
+      are a prefix of the uncapped ones.
 
     subsets_enumerated counts the subsets built before the stop (one more
     than max_evals when that cap cut enumeration).  stopped_by names the
@@ -188,6 +198,8 @@ def _search(pool, max_side, max_evals, max_results):
     (pairs, subsets enumerated, stopped_by)."""
     members = pool.members
     m = len(members)
+    full = (1 << m) - 1
+    whole = sum(value for _, value in members)
     top = min(max_side, m)
     streamed = comb(m, top) > MAX_HELD_TOP_SUBSETS
     # tails[i]: (value, bit, index) of members i, i + 1, ...: what a subset
@@ -195,7 +207,7 @@ def _search(pool, max_side, max_evals, max_results):
     # every tail is a slice of one list, so each member's item is built once
     items = [(value, 1 << j, j) for j, (_, value) in enumerate(members)]
     tails = [items[i:] for i in range(m + 1)]
-    indexes: list[dict[int, list[int]]] = [{}]  # indexes[s]: sum -> size-s bitmasks
+    indexes: list[dict[int, list[int]]] = [{0: [0]}]  # indexes[s]: sum -> size-s bitmasks
     # (sum, bitmask, tail) of each subset one smaller than the largest
     # indexed; two smaller once a streamed top size is indexed
     frontier = [(0, 0, tails[0])]
@@ -224,13 +236,13 @@ def _search(pool, max_side, max_evals, max_results):
                 _cut(frontier, budget)
             sums = _self_join_sums(frontier)
         else:
-            sums = _level_sums(indexes, t)
-        for total, cost, buckets in sums:
+            sums = _level_sums(indexes, t, m - t, whole)
+        for total, cost, buckets, leftout in sums:
             comparisons += cost
             if comparisons > MAX_JOIN_CANDIDATES:
                 stopped_by = "max_candidates"
                 break
-            chunk = _join(buckets, sides)
+            chunk = _join(buckets, leftout, full, sides)
             if not chunk:
                 continue
             if max_results is not None and len(pairs) + len(chunk) > max_results:
@@ -315,19 +327,31 @@ def _self_join_sums(frontier):
             heappop(heap)
         if total != current:
             if len(group) > 1:
-                yield current, len(group) * (len(group) - 1) // 2, [(group, group)]
+                yield current, len(group) * (len(group) - 1) // 2, [(group, group)], None
             current, group = total, []
         group.append(mask | run[k][1])
     if len(group) > 1:
-        yield current, len(group) * (len(group) - 1) // 2, [(group, group)]
+        yield current, len(group) * (len(group) - 1) // 2, [(group, group)], None
 
 
-def _level_sums(indexes, t):
+def _level_sums(indexes, t, slack, whole):
     """The sums of level t in ascending order, each with its candidate
-    comparisons and its (size-a bitmasks, size-(t - a) bitmasks) buckets.
-    Level t joins the size-a and size-(t - a) sum indexes for every
-    a <= t - a that has been built; a self-join (a = t - a) visits only the
-    sums of at least two subsets."""
+    comparisons, its (size-a bitmasks, size-(t - a) bitmasks) buckets and
+    what its pairs leave out.  Level t joins the size-a and size-(t - a) sum
+    indexes for every a <= t - a that has been built; a self-join
+    (a = t - a) visits only the sums of at least two subsets.
+
+    A level-t pair at sum S leaves out slack = m - t members with sum
+    whole - 2 S.  Where the size-slack index is complete (built, and not
+    the last size built, which max_evals may cut or a streamed top size
+    filter), each sum comes with its subsets there: none at all when slack
+    is negative.  Elsewhere it comes with None."""
+    if slack < 0:
+        complement = {}
+    elif slack < len(indexes) - 1:
+        complement = indexes[slack]
+    else:
+        complement = None
     smallest = max(1, t - len(indexes) + 1)  # the larger side must be built
     splits = [(indexes[a], indexes[t - a]) for a in range(smallest, t // 2 + 1)]
     common = set()
@@ -346,22 +370,51 @@ def _level_sums(indexes, t):
                 continue
             cost += len(left) * (len(left) - 1) // 2 if left is right else len(left) * len(right)
             buckets.append((left, right))
-        yield total, cost, buckets
+        leftout = None if complement is None else complement.get(whole - 2 * total, ())
+        yield total, cost, buckets, leftout
 
 
-def _join(buckets, sides):
+def _join(buckets, leftout, full, sides):
     """The disjoint pairs of one sum's buckets as (left shapes, right
-    shapes), sorted by the sides' index tuples.  Members are sorted
-    descending, so index order is the reverse of shape order; and no side is
-    a prefix of another side with the same sum, as every degree is at least
-    1.  So descending shape order is index order."""
-    chunk = [
-        (sides[x], sides[y])
-        for left, right in buckets
-        for x, y in (combinations(left, 2) if left is right else product(left, right))
-        if not x & y
-    ]
-    chunk.sort(reverse=True)
+    shapes), sorted by the sides' index tuples.
+
+    leftout, when not None, holds every subset that a pair at this sum
+    leaves out, as _level_sums yields it.  A bucket (A, B) with more
+    subsets in B than in leftout is joined through it: x in A and z in
+    leftout give y = full ^ x ^ z, and (x, y) is a pair exactly when y is
+    in B, since an x that overlaps z gives a y with too many members.  A
+    self-join keeps (x, y) only when x's lowest member comes first, as
+    combinations does.  Every other bucket compares all its candidates.
+
+    Members are sorted descending, so index order is the reverse of shape
+    order; and no side is a prefix of another side with the same sum, as
+    every degree is at least 1.  So descending shape order is index order,
+    the order in which product and combinations pair two buckets in
+    itertools.combinations order: one compared bucket, or one joined
+    through a single left-out subset, needs no sort."""
+    if leftout is not None and not leftout:
+        return []  # no subset is left out at this sum, so no pair exists
+    chunk = []
+    ordered = len(buckets) == 1
+    for left, right in buckets:
+        if leftout is None or len(leftout) >= len(right):
+            chunk += [
+                (sides[x], sides[y])
+                for x, y in (combinations(left, 2) if left is right else product(left, right))
+                if not x & y
+            ]
+            continue
+        ordered = ordered and len(leftout) == 1
+        flips = [full ^ z for z in leftout]  # x ^ flip is the y that leaves out z
+        wanted = set(right)
+        chunk += [
+            (sides[x], sides[y])
+            for x in left
+            for flip in flips
+            if (y := x ^ flip) in wanted and (left is not right or x & -x < y & -y)
+        ]
+    if not ordered:
+        chunk.sort(reverse=True)
     return chunk
 
 
@@ -415,15 +468,23 @@ class ScanRow:
         return "no candidate"
 
 
+# The scan's rows, one per even d <= d_max: k = m = 2 takes 1.3-1.6 s at
+# this many through the CLI (2-core VM), and a row's cost grows with m.
+MAX_SCAN_ROWS = 100_000
+
+
 def scan_even_ladders(k: int, m: int, d_max: int) -> list[ScanRow]:
     """Even-length ladder sums with exploratory closed-form probes.
 
     For each even d the probe is the width-d analogue of the odd-ladder lead
     term, f(k+d, k, 1^(m-d)); the residual against it is matched against
-    single three-row degrees of the same size.  Purely informational.
+    single three-row degrees of the same size.  Purely informational.  A
+    scan of more than MAX_SCAN_ROWS rows is refused before any is built.
     """
     if k < 2 or m < 2 or d_max < 0:
         raise ValueError("need k, m >= 2 and d_max >= 0")
+    if d_max // 2 + 1 > MAX_SCAN_ROWS:
+        raise ValueError(f"scan d_max={d_max} has {d_max // 2 + 1} rows; the limit is {MAX_SCAN_ROWS}")
     n = 2 * k + m
     three_part_degrees: dict[int, list[Partition]] = {}
     for p in partitions(n, 3):

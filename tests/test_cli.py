@@ -523,6 +523,26 @@ class TestScanCommand:
             ["0", "0"], ["2", "14"], ["4", "14"], ["6", "14"], ["8", "14"]
         ]
 
+    def test_rows_at_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(search, "MAX_SCAN_ROWS", 5)
+        for dmax in (8, 9):  # d = 0, 2, 4, 6, 8
+            code, out, err = run_cli(capsys, "scan", "--k", "2", "--m", "2", "--dmax", str(dmax))
+            assert (code, err, len(out.splitlines())) == (0, "", 6)
+        code, out, err = run_cli(capsys, "scan", "--k", "2", "--m", "2", "--dmax", "10")
+        assert code == 2 and out == ""
+        assert err == "error: scan d_max=10 has 6 rows; the limit is 5\n"
+
+    def test_rows_over_budget_is_usage_error(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the scan built a row past its budget")
+
+        monkeypatch.setattr(search, "partitions", never)
+        monkeypatch.setattr(search, "ladder_sum_terms", never)
+        dmax = 2 * search.MAX_SCAN_ROWS  # one row past the limit
+        code, out, err = run_cli(capsys, "scan", "--k", "2", "--m", "2", "--dmax", str(dmax))
+        assert code == 2 and out == ""
+        assert err == f"error: scan d_max={dmax} has {dmax // 2 + 1} rows; the limit is {search.MAX_SCAN_ROWS}\n"
+
 
 class TestInputGuards:
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import gc
 import inspect
 import os
@@ -94,9 +95,17 @@ class TestFindPairs:
 def reference_search(pool, max_side, max_evals=10_000_000, max_results=50_000):
     """The sort-everything join: index every subset up to max_side members,
     pair every equal-sum bucket, sort all pairs, then cut.  Returns
-    ((left, right, total) triples, subsets enumerated, stopped_by)."""
+    ((left, right, total) triples, subsets enumerated, stopped_by).
+
+    Memoized for the last call: sides past the pool size give the same
+    results, and TestLeaveOut asks for them held and streamed in turn."""
+    return _reference(pool, min(max_side, len(pool.members)), max_evals, max_results)
+
+
+@functools.lru_cache(maxsize=1)
+def _reference(pool, top, max_evals, max_results):
     members, by_sum, enumerated, stopped_by = pool.members, {}, 0, None
-    sizes = range(1, min(max_side, len(members)) + 1)
+    sizes = range(1, top + 1)
     for combo in chain.from_iterable(combinations(range(len(members)), s) for s in sizes):
         enumerated += 1
         if enumerated > max_evals:
@@ -179,12 +188,63 @@ class TestAgainstReferenceStreamed(TestAgainstReference):
         monkeypatch.setattr(search, "MAX_HELD_TOP_SUBSETS", 0)
 
 
+class TestLeaveOut:
+    """Sides as large as the pool: each level t >= m / 2 + 1 joins through
+    the subsets its pairs leave out, m - t members, where that size is
+    complete.  Each case runs at side m and m + 3, top size held and
+    streamed."""
+
+    @staticmethod
+    def held_and_streamed(monkeypatch, pool, **caps):
+        m, limit = len(pool.members), search.MAX_HELD_TOP_SUBSETS
+        for max_side in (m, m + 3):
+            for held in (limit, 0):
+                monkeypatch.setattr(search, "MAX_HELD_TOP_SUBSETS", held)
+                assert_matches_reference(pool, max_side, **caps)
+
+    @staticmethod
+    def size_boundaries(m):
+        """max_evals just before, at and just after each size boundary of an
+        m-member pool, up to 5 000 subsets: past that the reference join
+        takes seconds a call."""
+        cuts, total = [], 0
+        for size in range(1, m + 1):
+            total += comb(m, size)
+            if total > 5_000:
+                break
+            cuts += [total - 1, total, total + 1]
+        return cuts
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_eval_cap_at_every_size_boundary(self, monkeypatch, n):
+        # a size cut by max_evals is incomplete: never a left-out size
+        pool = build_pool(n)
+        for max_evals in self.size_boundaries(len(pool.members)):
+            self.held_and_streamed(monkeypatch, pool, max_evals=max_evals, max_results=None)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_result_cap_in_the_top_levels(self, monkeypatch, n):
+        # levels m - 2 ... m leave out at most two members; at n = 3 ... 6
+        # level m has pairs that use the whole pool
+        pool = build_pool(n)
+        m = len(pool.members)
+        pairs = find_equal_sum_pairs(pool, m, max_results=None).pairs
+        caps = {len(pairs) - 1}
+        for t in range(m - 2, m + 1):
+            before = sum(len(p.left) + len(p.right) < t for p in pairs)
+            caps |= {before, before + 1}
+        for cap in sorted(cap for cap in caps if 0 <= cap <= len(pairs)):
+            self.held_and_streamed(monkeypatch, pool, max_results=cap)
+
+
 class TestJoinCanFail:
     """The oracle comparison catches a join that keeps overlapping sides,
     puts the later subset of a same-size pair on the left or sorts a sum's
     pairs the wrong way round, a top-size self-join whose equal-sum groups
-    are not in itertools.combinations order, and a rebuilt top - 1 frontier
-    that does not replay a max_evals cut."""
+    are not in itertools.combinations order, a rebuilt top - 1 frontier
+    that does not replay a max_evals cut, and a leave-out join that takes
+    its left-out subsets from a size max_evals cut, keeps both orders of a
+    self-join pair or takes every y it makes for a pair."""
 
     @staticmethod
     def mutate(monkeypatch, name, old, new):
@@ -198,7 +258,7 @@ class TestJoinCanFail:
     @pytest.mark.parametrize(
         "name, old, new",
         [
-            ("_join", "        if not x & y\n", ""),
+            ("_join", "                if not x & y\n", ""),
             ("_join", "combinations(left, 2)", "((y, x) for x, y in combinations(left, 2))"),
             ("_join", "chunk.sort(reverse=True)", "chunk.sort()"),
             ("_self_join_sums", "[(group, group)]", "[(masks := sorted(group), masks)]"),
@@ -209,6 +269,26 @@ class TestJoinCanFail:
         self.mutate(monkeypatch, name, old, new)
         with pytest.raises(AssertionError):
             assert_matches_reference(build_pool(10), 3)
+
+    @pytest.mark.parametrize(
+        "name, old, new, n, max_evals",
+        [
+            # C(7, 1) + C(7, 2) = 28, C(10, 1..3) = 175 and C(12, 1..4) = 793
+            # subsets: the next size is then built cut, empty or with one
+            # subset, and a pair leaving out that many members is missed
+            ("_level_sums", "slack < len(indexes) - 1", "slack < len(indexes)", 5, 28),
+            ("_level_sums", "slack < len(indexes) - 1", "slack < len(indexes)", 6, 176),
+            ("_level_sums", "slack < len(indexes) - 1", "slack < len(indexes)", 7, 793),
+            ("_join", " and (left is not right or x & -x < y & -y)", "", 4, 10_000_000),
+            ("_join", "(y := x ^ flip) in wanted", "(y := x ^ flip)", 5, 10_000_000),
+        ],
+        ids=["cut-size-left-out-5", "cut-size-left-out-6", "cut-size-left-out-7", "leave-out-order", "no-membership"],
+    )
+    def test_leave_out_mutation_fails_the_oracle(self, monkeypatch, name, old, new, n, max_evals):
+        pool = build_pool(n)
+        self.mutate(monkeypatch, name, old, new)
+        with pytest.raises(AssertionError):
+            assert_matches_reference(pool, len(pool.members), max_evals=max_evals, max_results=None)
 
     @pytest.mark.parametrize("n, max_side", [(9, 3), (10, 4)])
     def test_rebuilt_frontier_without_the_cut_fails_the_oracle(self, monkeypatch, n, max_side):
