@@ -87,20 +87,20 @@ MAX_HOOK_WRAP_WORK = 60_000_000
 # takes a hook product per right-side term, ran 9.7 s at (200, 800, 800)
 MAX_ANALYTIC_TERMS = 20_000
 
-# and their budget on terms * n^2, where n = 2k + m is every term's leading
-# factorial.  Time tracks that product: on a 2-core VM 1.2 s at
+# and their budget on terms * n^2, shared with verify_expansion and
+# verify_branch_rows, where n is every term's size (for a ladder 2k + m, its
+# leading factorial).  Time tracks that product: on a 2-core VM 1.2 s at
 # (d, k, m) = (197, 3, 788) (1.25e10), 2.0 s at (197, 100, 900) (2.41e10)
-# and 13 s at (197, 500, 2000) (1.79e11).  The limit was chosen when these
-# took about 1.8 times as long, so it is now conservative.  verify_ladder
-# takes 1.9 s through the CLI at (100, 650, 650) (2.0e10), and 0.6 s at
-# (0, 2, 99 990), near the largest 2k + m accepted at d = 0
+# and 13 s at (197, 500, 2000) (1.79e11).  Through the CLI, verify_ladder
+# takes 1.4-1.9 s at (100, 650, 650) (2.0e10) and 0.6 s at (0, 2, 99 990),
+# expansion 2.5-3.0 s at (n, k) = (6000, 1100) and branch 1.4 s at (4000, 600)
 MAX_ANALYTIC_WORK = 20_000_000_000
 
-# the knapsack sweeps, verify_knapsack_sweep and verify_riordan, value every
-# three-part partition of n: about n^2/12 hook products of n cells (riordan
-# only the quarter whose parts share n's parity).  At n = 500 they take 0.5 s
-# (riordan) and 0.85 s (knapsack) through the CLI with --format json on a
-# 2-core VM; at n = 800, 1.5 s and 4.4 s
+# the knapsack sweeps, verify_knapsack_sweep and verify_riordan, and the scan
+# at n = 2k + m value every three-part partition of n: about n^2/12 hook
+# products of n cells (riordan only the quarter whose parts share n's parity).
+# At n = 500 the sweeps take 0.5 s (riordan) and 0.85 s (knapsack) through
+# the CLI with --format json on a 2-core VM; at n = 800, 1.5 s and 4.4 s
 MAX_SWEEP_N = 500
 
 # verify_catalan_pair values the partitions of 2m - 2 into at most four
@@ -234,9 +234,9 @@ def verify_knapsack(n: int, k: int) -> tuple[Report, Report]:
     return _knapsack_eq(n, k, 1), _knapsack_eq(n, k, 2)
 
 
-def _check_sweep(n: int) -> None:
+def _check_sweep(n: int, name: str = "knapsack sweep") -> None:
     if n > MAX_SWEEP_N:
-        raise ValueError(f"knapsack sweep n={n} is over budget; the limit is n={MAX_SWEEP_N}")
+        raise ValueError(f"{name} n={n} is over budget; the limit is n={MAX_SWEEP_N}")
 
 
 def verify_knapsack_sweep(n: int) -> list[Report]:
@@ -288,26 +288,22 @@ def _equal_parity(p: Partition) -> bool:
     return padded[0] % 2 == padded[1] % 2 == padded[2] % 2
 
 
-def ladder_sum_terms(k: int, m: int, count: int) -> list[Term]:
-    """Left side of a ladder identity: fat hooks (k+j, k+j, 1^(m-2j)) for
-    j = 0..count-1, each valued by the fat-hook closed form; shapes with
-    negative tails keep their raw arguments (their values vanish).  Needs
-    k >= 1, where no term is the singular one-row shape."""
-    return _closed_form_terms("L", "fat-hook", _ladder_args(k, m, count))
+def _check_work(subject: str, terms: int, n: int, size: str = "n") -> None:
+    """Refuse `terms` terms of n cells past MAX_ANALYTIC_WORK terms * n^2."""
+    if terms * n * n > MAX_ANALYTIC_WORK:
+        raise ValueError(
+            f"{subject} has {terms} terms of size {size}={n}: "
+            f"work {terms * n * n}; the limit is {MAX_ANALYTIC_WORK}"
+        )
 
 
 def _check_ladder_budget(name: str, d: int, k: int, m: int) -> None:
     """Refuse a ladder of more than MAX_ANALYTIC_TERMS terms, d(d+1)/2 +
-    2d + 2, or of more than MAX_ANALYTIC_WORK terms * (2k+m)^2."""
+    2d + 2, or past the work budget at 2k+m."""
     terms = d * (d + 1) // 2 + 2 * d + 2
     if terms > MAX_ANALYTIC_TERMS:
         raise ValueError(f"{name} d={d} has {terms} terms; the limit is {MAX_ANALYTIC_TERMS}")
-    size = max(2 * k + m, 0)
-    if terms * size * size > MAX_ANALYTIC_WORK:
-        raise ValueError(
-            f"{name} d={d} has {terms} terms of size 2k+m={size}: "
-            f"work {terms * size * size}; the limit is {MAX_ANALYTIC_WORK}"
-        )
+    _check_work(f"{name} d={d}", terms, max(2 * k + m, 0), "2k+m")
 
 
 def verify_ladder(d: int, k: int, m: int) -> Report:
@@ -339,7 +335,7 @@ def verify_ladder(d: int, k: int, m: int) -> Report:
     return Report(
         id="ladder",
         params={"d": d, "k": k, "m": m},
-        terms=ladder_sum_terms(k, m, 2 * d + 1) + rhs,
+        terms=_closed_form_terms("L", "fat-hook", _ladder_args(k, m, 2 * d + 1)) + rhs,
         regime=regime,
     )
 
@@ -377,10 +373,12 @@ def verify_expansion(n: int, k: int) -> Report:
     summands whose argument triple is not a partition cancel or vanish, so
     the same-parity family sum is left; both facts are recorded as checks,
     and calls outside that regime yield a failing report, not an error.
+    Past the work budget, at k//2 + 3 terms of n cells, it raises first.
     """
     m = n - 2 * k
     if k < 1 or m < 2:
         raise ValueError(f"need k >= 1 and n - 2k >= 2, got n={n}, k={k}")
+    _check_work(f"expansion n={n} k={k}", k // 2 + 3, n)
     triples = [(m + 2 * j, k, k - 2 * j) for j in range(k // 2 + 1)]
     terms = _fat_hook_terms("L", _ladder_args(k, m, 2))
     terms += _closed_form_terms("R", "three-row", triples)
@@ -461,13 +459,16 @@ def verify_branch_rows(n: int, k: int, same_parity: bool) -> Report:
     fixed-second-part family of n-1, possibly minus one explicit missing
     term; the identification (new second part, parity class, missing terms)
     is computed and verified per row.  More than one missing term, or any
-    stray member, signals a regime mis-modeling and raises.
+    stray member, signals a regime mis-modeling and raises.  So does a call
+    past the work budget, at four terms of n cells per member (itself, then
+    one per row), before any term is built.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     family = second_part_family(n, k, same_parity)
     if not family:
         raise ValueError(f"empty family for (n, k) = {(n, k)}")
+    _check_work(f"branch n={n} k={k}", 4 * len(family), n)
     terms = _partition_terms("L", family)
     rows_detail = []
     for row in (1, 2, 3):

@@ -6,11 +6,11 @@ import gc
 from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heapreplace
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
-from .degrees import degree
-from .identities import Report, Term, ladder_sum_terms, verify_knapsack
+from .degrees import degree, fat_hook_value
+from .identities import Report, Term, _check_sweep, verify_knapsack
 from .partitions import Partition, fat_hook, format_shape, partitions
 
 
@@ -468,8 +468,9 @@ class ScanRow:
         return "no candidate"
 
 
-# The scan's rows, one per even d <= d_max: k = m = 2 takes 1.3-1.6 s at
-# this many through the CLI (2-core VM), and a row's cost grows with m.
+# The scan's rows, one per even d <= d_max.  Each costs one hook product of
+# 2k + m cells, whatever m: at this many, k = m = 2 takes 0.5 s through the
+# CLI and k = 2, m = 496 1.4 s (2-core VM).
 MAX_SCAN_ROWS = 100_000
 
 
@@ -479,22 +480,26 @@ def scan_even_ladders(k: int, m: int, d_max: int) -> list[ScanRow]:
     For each even d the probe is the width-d analogue of the odd-ladder lead
     term, f(k+d, k, 1^(m-d)); the residual against it is matched against
     single three-row degrees of the same size.  Purely informational.  A
-    scan of more than MAX_SCAN_ROWS rows is refused before any is built.
+    scan of more than MAX_SCAN_ROWS rows, or of 2k + m past the knapsack
+    sweeps' MAX_SWEEP_N, is refused before any degree is computed.
     """
     if k < 2 or m < 2 or d_max < 0:
         raise ValueError("need k, m >= 2 and d_max >= 0")
     if d_max // 2 + 1 > MAX_SCAN_ROWS:
         raise ValueError(f"scan d_max={d_max} has {d_max // 2 + 1} rows; the limit is {MAX_SCAN_ROWS}")
     n = 2 * k + m
+    _check_sweep(n, "scan's three-part table at")
     three_part_degrees: dict[int, list[Partition]] = {}
     for p in partitions(n, 3):
         three_part_degrees.setdefault(degree(p), []).append(p)
+    # sums[c]: the first c ladder values.  Only the first m//2 + 1 triples
+    # are shapes; the later ones have negative tails and vanish wherever the
+    # fat-hook form is defined, and it is singular at j = k + m
+    ladder = (fat_hook_value(k + j, k + j, m - 2 * j) for j in range(m // 2 + 1))
+    sums = list(accumulate(ladder, initial=0))
     rows = []
     for d in range(0, d_max + 1, 2):
-        # only the first m//2 + 1 triples are shapes; the later ones have
-        # negative tails and vanish wherever the fat-hook form is defined,
-        # and it is singular at j = k + m
-        value = sum(t.value for t in ladder_sum_terms(k, m, min(d, m // 2 + 1)))
+        value = sums[min(d, m // 2 + 1)]
         probe_shape = fat_hook(k + d, k, m - d) if d else None
         probe_value = degree(probe_shape) if probe_shape is not None else None
         residual = value - probe_value if probe_value is not None else None

@@ -155,6 +155,29 @@ class TestVerifyCommand:
         assert err == "error: ladder d=2 has 9 terms of size 2k+m=22: work 4356; the limit is 4355\n"
 
     @pytest.mark.parametrize(
+        "argv, work, subject",
+        [
+            (("--id", "expansion", "--n", "20", "--k", "4"), 5 * 20**2, "expansion n=20 k=4 has 5"),
+            (("--id", "branch", "--n", "20", "--k", "4", "--parity", "same"), 12 * 20**2, "branch n=20 k=4 has 12"),
+        ],
+        ids=["expansion", "branch"],
+    )
+    def test_work_budget(self, capsys, monkeypatch, argv, work, subject):
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", work)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, err) == (0, "") and "PASS" in out
+
+        def never(*args):
+            raise AssertionError("a term was built past the budget")
+
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", work - 1)
+        monkeypatch.setattr(identities, "degree", never)
+        monkeypatch.setattr(identities, "partitions", never)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {subject} terms of size n=20: work {work}; the limit is {work - 1}\n"
+
+    @pytest.mark.parametrize(
         "argv, kind",
         [(("paths", "--kind", "motzkin"), "motzkin"), (("verify", "--id", "riordan"), "riordan")],
         ids=["paths", "riordan"],
@@ -532,12 +555,32 @@ class TestScanCommand:
         assert code == 2 and out == ""
         assert err == "error: scan d_max=10 has 6 rows; the limit is 5\n"
 
+    def test_size_at_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(identities, "MAX_SWEEP_N", 10)
+        code, out, err = run_cli(capsys, "scan", "--k", "2", "--m", "6", "--dmax", "4")
+        assert (code, err, len(out.splitlines())) == (0, "", 4)
+
+        def never(*args):
+            raise AssertionError("the scan computed a degree past its budget")
+
+        for name in ("degree", "partitions", "fat_hook_value"):
+            monkeypatch.setattr(search, name, never)
+        code, out, err = run_cli(capsys, "scan", "--k", "2", "--m", "7", "--dmax", "4")
+        assert code == 2 and out == ""
+        assert err == "error: scan's three-part table at n=11 is over budget; the limit is n=10\n"
+        monkeypatch.undo()
+        for name in ("degree", "partitions", "fat_hook_value"):
+            monkeypatch.setattr(search, name, never)
+        code, out, err = run_cli(capsys, "scan", "--k", "166", "--m", "169", "--dmax", "0")
+        assert code == 2 and out == ""
+        assert err == f"error: scan's three-part table at n=501 is over budget; the limit is n={identities.MAX_SWEEP_N}\n"
+
     def test_rows_over_budget_is_usage_error(self, capsys, monkeypatch):
         def never(*args):
             raise AssertionError("the scan built a row past its budget")
 
         monkeypatch.setattr(search, "partitions", never)
-        monkeypatch.setattr(search, "ladder_sum_terms", never)
+        monkeypatch.setattr(search, "fat_hook_value", never)
         dmax = 2 * search.MAX_SCAN_ROWS  # one row past the limit
         code, out, err = run_cli(capsys, "scan", "--k", "2", "--m", "2", "--dmax", str(dmax))
         assert code == 2 and out == ""

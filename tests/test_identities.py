@@ -235,6 +235,50 @@ def _never_built(*args):
     raise AssertionError("a term was built past the budget")
 
 
+class TestWorkBudget:
+    """verify_expansion and verify_branch_rows share the ladders' work
+    budget on terms * n^2."""
+
+    @staticmethod
+    def refuse_terms(monkeypatch):
+        for name in ("degree", "partitions", "fat_hook_value", "three_row_value"):
+            monkeypatch.setattr(identities, name, _never_built)
+
+    def test_expansion(self, monkeypatch):
+        # n = 20, k = 4: k//2 + 3 = 5 terms of 20 cells
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 5 * 20**2)
+        assert verify_expansion(20, 4).passed
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 5 * 20**2 - 1)
+        self.refuse_terms(monkeypatch)
+        with pytest.raises(ValueError, match="^expansion n=20 k=4 has 5 terms of size n=20: work 2000; the limit is 1999$"):
+            verify_expansion(20, 4)
+
+    def test_branch(self, monkeypatch):
+        # n = 20, k = 4, same parity: (16, 4), (14, 4, 2) and (12, 4, 4),
+        # four terms each
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 12 * 20**2)
+        assert verify_branch_rows(20, 4, True).passed
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 12 * 20**2 - 1)
+        self.refuse_terms(monkeypatch)
+        with pytest.raises(ValueError, match="^branch n=20 k=4 has 12 terms of size n=20: work 4800; the limit is 4799$"):
+            verify_branch_rows(20, 4, True)
+
+    def test_default_budget(self, monkeypatch):
+        # expansion at n = 6000, k = 1100 (553 terms) and branch at n = 4000,
+        # k = 600 (301 members) fit, and each takes about 2 s
+        assert 553 * 6_000**2 <= identities.MAX_ANALYTIC_WORK
+        assert 4 * 301 * 4_000**2 <= identities.MAX_ANALYTIC_WORK
+        self.refuse_terms(monkeypatch)
+        # 28.5 s and, swapped, 15.5 s before the budget
+        for n, k in [(10_000, 3_000), (10_000, 4_999)]:
+            with pytest.raises(ValueError, match=f"^expansion n={n} k={k} has .* the limit is"):
+                verify_expansion(n, k)
+        # 3.7 s and 32.6 s before the budget
+        for n, k in [(5_000, 1_000), (10_000, 2_000)]:
+            with pytest.raises(ValueError, match=f"^branch n={n} k={k} has .* the limit is"):
+                verify_branch_rows(n, k, True)
+
+
 class TestLadderBudget:
     """verify_ladder shares the analytic ladder's term and work budgets."""
 

@@ -12,9 +12,8 @@ from math import comb
 
 import pytest
 
-from sytknap import search
-from sytknap.degrees import degree
-from sytknap.identities import ladder_sum_terms
+from sytknap import identities, search
+from sytknap.degrees import degree, fat_hook_value
 from sytknap.search import (
     _known_knapsack_instances,
     _Sides,
@@ -561,15 +560,59 @@ class TestScan:
     def test_rows_up_to_k_plus_m_keep_the_whole_ladder_sum(self, k, m):
         # below j = k + m the fat-hook form is defined at every ladder triple,
         # so the sum of every term, tails of any sign, is the reference
+        def term(j):
+            # hook products on the shapes; the form only for negative tails
+            if m - 2 * j >= 0:
+                return degree((k + j, k + j) + (1,) * (m - 2 * j))
+            return fat_hook_value(k + j, k + j, m - 2 * j)
+
         rows = scan_even_ladders(k, m, k + m)
         assert [r.d for r in rows] == list(range(0, k + m + 1, 2))
         for r in rows:
-            assert r.value == sum(t.value for t in ladder_sum_terms(k, m, r.d))
+            assert r.value == sum(term(j) for j in range(r.d))
 
     def test_past_k_plus_m(self):
         # at j = k + m the fat-hook form is singular; the scan counts shapes only
         with pytest.raises(ValueError, match=r"singular denominator at \(6, 6, -6\)"):
-            ladder_sum_terms(2, 2, 5)
+            fat_hook_value(6, 6, -6)
         rows = scan_even_ladders(2, 2, 8)
         assert [(r.d, r.value) for r in rows] == [(0, 0), (2, 14), (4, 14), (6, 14), (8, 14)]
         assert rows[1].value == degree((2, 2, 1, 1)) + degree((3, 3))
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (3, 9), (4, 8)])
+    def test_ladder_values_are_taken_once(self, k, m, monkeypatch):
+        # one value per ladder shape, j = 0..m//2, however many rows
+        calls = Counter()
+
+        def counted(*args):
+            calls[args] += 1
+            return fat_hook_value(*args)
+
+        monkeypatch.setattr(search, "fat_hook_value", counted)
+        for d_max in (0, 1, 2, m, 3 * (k + m), 1000):
+            calls.clear()
+            rows = scan_even_ladders(k, m, d_max)
+            assert len(rows) == d_max // 2 + 1
+            assert sorted(calls) == [(k + j, k + j, m - 2 * j) for j in range(m // 2 + 1)]
+            assert set(calls.values()) == {1}
+
+    @staticmethod
+    def _never(*args):
+        raise AssertionError("the scan computed a degree past its budget")
+
+    def test_size_budget(self, monkeypatch):
+        # the three-part table at 2k + m shares the knapsack sweeps' limit
+        monkeypatch.setattr(identities, "MAX_SWEEP_N", 10)
+        assert [r.d for r in scan_even_ladders(2, 6, 4)] == [0, 2, 4]
+        for name in ("degree", "partitions", "fat_hook_value"):
+            monkeypatch.setattr(search, name, self._never)
+        with pytest.raises(ValueError, match="^scan's three-part table at n=11 is over budget; the limit is n=10$"):
+            scan_even_ladders(2, 7, 4)
+
+    def test_default_size_budget(self, monkeypatch):
+        n = identities.MAX_SWEEP_N + 1
+        for name in ("degree", "partitions", "fat_hook_value"):
+            monkeypatch.setattr(search, name, self._never)
+        for k in (2, 166):
+            with pytest.raises(ValueError, match=f"^scan's three-part table at n={n} is over budget;"):
+                scan_even_ladders(k, n - 2 * k, 0)
