@@ -8,6 +8,7 @@ report.
 """
 
 from .degrees import _fat_hook_spec, _three_row_spec
+from .identities import _ladder_args, _ladder_lead
 from .polynomials import FactorialProduct, Poly, RationalFn, cross_diff, poly_ring
 
 
@@ -74,14 +75,15 @@ def certify_three_to_two() -> CertificateReport:
     (F0 + f(k+1,k+1,1^(m-2)) + f(k+2,k+2,1^(m-4)) - f(k+2,k,1^(m-2))) / F0
     factors as (k-m+1)(k-m+2)(k+m)(k+m+1) / (k (k+1)^2 (k+2)), and the
     resulting difference equals both case closed forms f(k,k,m) and
-    f(m-2,k+1,k+1) wherever those are shapes.
+    f(m-2,k+1,k+1) wherever those are shapes.  The ladder and its lead
+    f(k+2,k,1^(m-2)) are the numeric verifiers' own triples, from
+    identities._ladder_args and identities._ladder_lead at d = 1.
     """
     (k, m) = poly_ring("k", "m")
     report = CertificateReport("three-to-two", True)
-    f0 = fat_hook_form(k, k, m)
-    r1 = fat_hook_form(k + 1, k + 1, m - 2).ratio(f0)
-    r2 = fat_hook_form(k + 2, k + 2, m - 4).ratio(f0)
-    rg = fat_hook_form(k + 2, k, m - 2).ratio(f0)
+    f0, f1, f2 = (fat_hook_form(*args) for args in _ladder_args(k, m, 3))
+    r1, r2 = f1.ratio(f0), f2.ratio(f0)
+    rg = fat_hook_form(*_ladder_lead(1, k, m)).ratio(f0)
     report.expect(
         "step ratio f(k+2,k,1^(m-2))/f(k,k,1^m)",
         rg,

@@ -87,13 +87,14 @@ MAX_HOOK_WRAP_WORK = 60_000_000
 # takes a hook product per right-side term, ran 9.7 s at (200, 800, 800)
 MAX_ANALYTIC_TERMS = 20_000
 
-# and their budget on terms * n^2, shared with verify_expansion and
-# verify_branch_rows, where n is every term's size (for a ladder 2k + m, its
-# leading factorial).  Time tracks that product: on a 2-core VM 1.2 s at
-# (d, k, m) = (197, 3, 788) (1.25e10), 2.0 s at (197, 100, 900) (2.41e10)
-# and 13 s at (197, 500, 2000) (1.79e11).  Through the CLI, verify_ladder
-# takes 1.4-1.9 s at (100, 650, 650) (2.0e10) and 0.6 s at (0, 2, 99 990),
-# expansion 2.5-3.0 s at (n, k) = (6000, 1100) and branch 1.4 s at (4000, 600)
+# and their budget on terms * n^2, shared with verify_knapsack,
+# verify_expansion and verify_branch_rows, where n is every term's size (for a
+# ladder 2k + m, its leading factorial).  Time tracks that product: on a 2-core
+# VM 1.2 s at (d, k, m) = (197, 3, 788) (1.25e10), 2.0 s at (197, 100, 900)
+# (2.41e10) and 13 s at (197, 500, 2000) (1.79e11).  Through the CLI,
+# verify_ladder takes 1.4-1.9 s at (100, 650, 650) (2.0e10) and 0.6 s at
+# (0, 2, 99 990); at (n, k), knapsack 1.8 s at (5000, 796) and 1.4 s at
+# (10 000, 196), expansion 1.4 s at (6000, 550) and branch 1.8 s at (4000, 600)
 MAX_ANALYTIC_WORK = 20_000_000_000
 
 # the knapsack sweeps, verify_knapsack_sweep and verify_riordan, and the scan
@@ -213,8 +214,6 @@ def _knapsack_eq(n: int, k: int, eq: int) -> Report:
     hook; eq 1 takes the same-parity family except in the large-k
     opposite-parity regime, where the roles swap.
     """
-    if n < 1 or not 0 <= k <= n // 2:
-        raise ValueError(f"need 1 <= n and 0 <= k <= n//2, got n={n}, k={k}")
     m = n - 2 * k
     swap = swapped(n, k)
     same = (eq == 1) != swap
@@ -230,7 +229,12 @@ def _knapsack_eq(n: int, k: int, eq: int) -> Report:
 
 
 def verify_knapsack(n: int, k: int) -> tuple[Report, Report]:
-    """Both fixed-second-part identities at (n, k), equation 1 first."""
+    """Both fixed-second-part identities at (n, k), equation 1 first.  Past
+    the work budget, at both families' min(k, n - 2k) + 1 members and three
+    hooks, each of n cells, it raises before any degree is computed."""
+    if n < 1 or not 0 <= k <= n // 2:
+        raise ValueError(f"need 1 <= n and 0 <= k <= n//2, got n={n}, k={k}")
+    _check_work(f"knapsack n={n} k={k}", min(k, n - 2 * k) + 4, n)
     return _knapsack_eq(n, k, 1), _knapsack_eq(n, k, 2)
 
 
@@ -295,6 +299,15 @@ def _check_work(subject: str, terms: int, n: int, size: str = "n") -> None:
             f"{subject} has {terms} terms of size {size}={n}: "
             f"work {terms * n * n}; the limit is {MAX_ANALYTIC_WORK}"
         )
+
+
+def _family_size(n: int, k: int, same_parity: bool) -> int:
+    """len(second_part_family(n, k, same_parity)), counted without listing
+    the family, after the same check of 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    first = k % 2 if same_parity else 1 - k % 2
+    return len(range(first, min(k, n - 2 * k) + 1, 2))
 
 
 def _check_ladder_budget(name: str, d: int, k: int, m: int) -> None:
@@ -373,12 +386,13 @@ def verify_expansion(n: int, k: int) -> Report:
     summands whose argument triple is not a partition cancel or vanish, so
     the same-parity family sum is left; both facts are recorded as checks,
     and calls outside that regime yield a failing report, not an error.
-    Past the work budget, at k//2 + 3 terms of n cells, it raises first.
+    Past the work budget, at k//2 + 3 terms plus the same-parity family,
+    each of n cells, it raises first.
     """
     m = n - 2 * k
     if k < 1 or m < 2:
         raise ValueError(f"need k >= 1 and n - 2k >= 2, got n={n}, k={k}")
-    _check_work(f"expansion n={n} k={k}", k // 2 + 3, n)
+    _check_work(f"expansion n={n} k={k}", k // 2 + 3 + _family_size(n, k, True), n)
     triples = [(m + 2 * j, k, k - 2 * j) for j in range(k // 2 + 1)]
     terms = _fat_hook_terms("L", _ladder_args(k, m, 2))
     terms += _closed_form_terms("R", "three-row", triples)
@@ -461,14 +475,15 @@ def verify_branch_rows(n: int, k: int, same_parity: bool) -> Report:
     is computed and verified per row.  More than one missing term, or any
     stray member, signals a regime mis-modeling and raises.  So does a call
     past the work budget, at four terms of n cells per member (itself, then
-    one per row), before any term is built.
+    one per row), counted before the family is listed.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    family = second_part_family(n, k, same_parity)
-    if not family:
+    size = _family_size(n, k, same_parity)
+    if not size:
         raise ValueError(f"empty family for (n, k) = {(n, k)}")
-    _check_work(f"branch n={n} k={k}", 4 * len(family), n)
+    _check_work(f"branch n={n} k={k}", 4 * size, n)
+    family = second_part_family(n, k, same_parity)
     terms = _partition_terms("L", family)
     rows_detail = []
     for row in (1, 2, 3):

@@ -40,19 +40,8 @@ class Poly:
         e[vars.index(name)] = 1
         return cls(vars, {tuple(e): 1})
 
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.vars != self.vars:
-                raise ValueError(f"mixed variable sets {self.vars} and {other.vars}")
-            return other
-        if isinstance(other, int):
-            return Poly.constant(self.vars, other)
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = _poly(other, self.vars)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
@@ -64,15 +53,10 @@ class Poly:
         return Poly(self.vars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + (-_poly(other, self.vars))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = _poly(other, self.vars)
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -106,10 +90,7 @@ class Poly:
         return max((sum(e) for e in self.coeffs), default=0)
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs.values())
 
     def lead_coeff(self) -> int:
         if not self.coeffs:
@@ -168,6 +149,18 @@ class Poly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
+def _poly(value, vars: tuple[str, ...]) -> Poly:
+    """The one coercion into Poly: an int becomes a constant over vars, and a
+    Poly must already be over vars."""
+    if isinstance(value, Poly):
+        if value.vars != vars:
+            raise ValueError(f"mixed variable sets {vars} and {value.vars}")
+        return value
+    if isinstance(value, int):
+        return Poly.constant(vars, value)
+    raise TypeError(f"{type(value).__name__} is not a polynomial over {vars}")
+
+
 def poly_ring(*names: str) -> tuple[Poly, ...]:
     """Generators for a polynomial ring in the given variables."""
     vars = tuple(names)
@@ -183,10 +176,8 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        if isinstance(num, int) and isinstance(den, Poly):
-            num = Poly.constant(den.vars, num)
-        if isinstance(den, int):
-            den = Poly.constant(num.vars, den)
+        vars = (den if isinstance(num, int) else num).vars
+        num, den = _poly(num, vars), _poly(den, vars)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         g = gcd(num.content(), den.content())
@@ -198,17 +189,12 @@ class RationalFn:
         self.num = num
         self.den = den
 
-    def _coerce(self, other) -> "RationalFn":
-        if isinstance(other, RationalFn):
-            return other
-        if isinstance(other, (Poly, int)):
-            return RationalFn(other if isinstance(other, Poly) else Poly.constant(self.num.vars, other))
-        return NotImplemented
+    @property
+    def vars(self) -> tuple[str, ...]:
+        return self.num.vars
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = _rational(other, self.vars)
         return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -217,31 +203,24 @@ class RationalFn:
         return RationalFn(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + (-_rational(other, self.vars))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = _rational(other, self.vars)
         return RationalFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        other = _rational(other, self.vars)
         if other.num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFn(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (RationalFn, Poly, int)):
             return NotImplemented
+        other = _rational(other, self.vars)
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def is_zero(self) -> bool:
@@ -254,18 +233,21 @@ class RationalFn:
         return Fraction(self.num.evaluate(values), den)
 
 
+def _rational(value, vars: tuple[str, ...]) -> RationalFn:
+    """The one coercion into RationalFn: a RationalFn as it is, anything else
+    through _poly."""
+    return value if isinstance(value, RationalFn) else RationalFn(_poly(value, vars))
+
+
 def cross_diff(a, b) -> Poly:
     """Reduced difference polynomial num(a)*den(b) - num(b)*den(a).
 
     Identically zero exactly when a = b as rational functions.  Nonzero
     differences are returned in primitive (content-free, sign-fixed) form.
     """
-    if isinstance(a, (Poly, int)):
-        a = RationalFn(a if isinstance(a, Poly) else Poly.constant(b.num.vars, a))
-    if isinstance(b, (Poly, int)):
-        b = RationalFn(b if isinstance(b, Poly) else Poly.constant(a.num.vars, b))
-    diff = a.num * b.den - b.num * a.den
-    return diff.primitive()
+    vars = (b if isinstance(a, int) else a).vars
+    a, b = _rational(a, vars), _rational(b, vars)
+    return (a.num * b.den - b.num * a.den).primitive()
 
 
 def _split_linear(argument: Poly) -> tuple[Poly, int]:
@@ -294,13 +276,9 @@ class FactorialProduct:
         if not factorials:
             raise ValueError("a factorial product needs at least one factorial")
         self.vars = factorials[0][0].vars
-        part = poly_part
-        if isinstance(part, int):
-            part = RationalFn(Poly.constant(self.vars, part))
-        elif isinstance(part, Poly):
-            part = RationalFn(part)
+        part = _rational(poly_part, self.vars)
 
-        grouped: dict[tuple, dict] = {}
+        grouped: dict[tuple, tuple[Poly, list[int], list[int]]] = {}
         for argument, exp in factorials:
             if exp not in (1, -1):
                 raise ValueError("factorial exponents must be +1 or -1")
@@ -308,21 +286,20 @@ class FactorialProduct:
             if base.is_zero():
                 if shift < 0:
                     raise ValueError(f"factorial of negative constant {shift}")
-                const = Poly.constant(self.vars, factorial(shift))
-                part = part * const if exp == 1 else part / const
+                part = part * factorial(shift) if exp == 1 else part / factorial(shift)
                 continue
-            entry = grouped.setdefault(base.key(), {"base": base, "plus": [], "minus": []})
-            (entry["plus"] if exp == 1 else entry["minus"]).append(shift)
+            _, plus, minus = grouped.setdefault(base.key(), (base, [], []))
+            (plus if exp == 1 else minus).append(shift)
 
         remaining: list[tuple[Poly, int, int]] = []
         for key in sorted(grouped):
-            entry = grouped[key]
-            plus = sorted(entry["plus"], reverse=True)
-            minus = sorted(entry["minus"], reverse=True)
-            while plus and minus:
-                part = part * _shift_ratio(entry["base"], plus.pop(0), minus.pop(0))
-            remaining.extend((entry["base"], c, 1) for c in plus)
-            remaining.extend((entry["base"], c, -1) for c in minus)
+            base, plus, minus = grouped[key]
+            plus.sort(reverse=True)
+            minus.sort(reverse=True)
+            for c_num, c_den in zip(plus, minus):  # largest with largest
+                part = part * _shift_ratio(base, c_num, c_den)
+            remaining += [(base, c, 1) for c in plus[len(minus):]]
+            remaining += [(base, c, -1) for c in minus[len(plus):]]
         self.factors = tuple(sorted(remaining, key=lambda f: (f[0].key(), f[1], f[2])))
         self.poly_part = part
 
@@ -352,12 +329,7 @@ class FactorialProduct:
 
 def _shift_ratio(base: Poly, c_num: int, c_den: int) -> RationalFn:
     """(base + c_num)! / (base + c_den)! as a rational function."""
-    one = Poly.constant(base.vars, 1)
-    prod = one
-    if c_num >= c_den:
-        for i in range(c_den + 1, c_num + 1):
-            prod = prod * (base + i)
-        return RationalFn(prod)
-    for i in range(c_num + 1, c_den + 1):
+    prod = Poly.constant(base.vars, 1)
+    for i in range(min(c_num, c_den) + 1, max(c_num, c_den) + 1):
         prod = prod * (base + i)
-    return RationalFn(one, prod)
+    return RationalFn(prod) if c_num >= c_den else RationalFn(1, prod)

@@ -64,47 +64,31 @@ def _param_str(v) -> str:
     return str(v)
 
 
-def _table_line(label: str, report: Report) -> str:
-    status = "pass" if report.passed else "FAIL"
-    return (
-        f"{label}: {format_side(report, 'L')} = {format_side(report, 'R')}"
-        f" ; {to_decimal(report.lhs)} = {to_decimal(report.rhs)} ; {status}"
-    )
-
-
-def table_knapsack_n20() -> str:
-    lines = ["fixed-second-part identities, n=20, same-parity families"]
-    for k in range(0, 11, 2):
-        eq1, _ = verify_knapsack(20, k)
-        lines.append(_table_line(f"k={k:<2d}", eq1))
-    return "\n".join(lines) + "\n"
-
-
-def table_knapsack_n32() -> str:
-    lines = ["fixed-second-part identities, n=32, k=11..13 (k=13 is swapped)"]
-    for k in (11, 12, 13):
-        eq1, eq2 = verify_knapsack(32, k)
-        lines.append(_table_line(f"k={k} eq1", eq1))
-        lines.append(_table_line(f"k={k} eq2", eq2))
-    return "\n".join(lines) + "\n"
-
-
-def table_ladder_n35() -> str:
-    lines = ["three-term ladder collapse, n=35, one instance per case"]
-    for k, m in ((14, 7), (11, 13), (7, 21)):
-        report = verify_ladder(1, k, m)
-        lines.append(_table_line(f"k={k:<2d} m={m:<2d}", report))
-    return "\n".join(lines) + "\n"
-
-
+# id -> (title, a function building the table's (label, report) rows)
 TABLES = {
-    "knapsack-n20": table_knapsack_n20,
-    "knapsack-n32": table_knapsack_n32,
-    "ladder-n35": table_ladder_n35,
+    "knapsack-n20": (
+        "fixed-second-part identities, n=20, same-parity families",
+        lambda: [(f"k={k:<2d}", verify_knapsack(20, k)[0]) for k in range(0, 11, 2)],
+    ),
+    "knapsack-n32": (
+        "fixed-second-part identities, n=32, k=11..13 (k=13 is swapped)",
+        lambda: [(f"k={k} eq{eq}", r) for k in (11, 12, 13) for eq, r in enumerate(verify_knapsack(32, k), 1)],
+    ),
+    "ladder-n35": (
+        "three-term ladder collapse, n=35, one instance per case",
+        lambda: [(f"k={k:<2d} m={m:<2d}", verify_ladder(1, k, m)) for k, m in ((14, 7), (11, 13), (7, 21))],
+    ),
 }
 
 
 def render_table(table_id: str) -> str:
     if table_id not in TABLES:
         raise ValueError(f"unknown table {table_id!r}; available: {', '.join(sorted(TABLES))}")
-    return TABLES[table_id]()
+    title, rows = TABLES[table_id]
+    lines = [title]
+    for label, report in rows():
+        lines.append(
+            f"{label}: {format_side(report, 'L')} = {format_side(report, 'R')}"
+            f" ; {to_decimal(report.lhs)} = {to_decimal(report.rhs)} ; {'pass' if report.passed else 'FAIL'}"
+        )
+    return "\n".join(lines) + "\n"

@@ -378,11 +378,12 @@ def _join(buckets, leftout, full, sides):
     """The disjoint pairs of one sum's buckets as (left shapes, right
     shapes), sorted by the sides' index tuples.
 
-    leftout, when not None, holds every subset that a pair at this sum
-    leaves out, as _level_sums yields it.  A bucket (A, B) with more
-    subsets in B than in leftout is joined through it: x in A and z in
-    leftout give y = full ^ x ^ z, and (x, y) is a pair exactly when y is
-    in B, since an x that overlaps z gives a y with too many members.  A
+    leftout, when not None, holds every subset Z that a pair at this sum
+    leaves out, as _level_sums yields it.  A bucket (A, B) is joined
+    through it when that costs less, |B| + |A| |Z| steps against the
+    |A| |B| candidates, or C(|A|, 2) when A is B: x in A and z in leftout
+    give y = full ^ x ^ z, and (x, y) is a pair exactly when y is in B,
+    since an x that overlaps z gives a y with too many members.  A
     self-join keeps (x, y) only when x's lowest member comes first, as
     combinations does.  Every other bucket compares all its candidates.
 
@@ -397,7 +398,8 @@ def _join(buckets, leftout, full, sides):
     chunk = []
     ordered = len(buckets) == 1
     for left, right in buckets:
-        if leftout is None or len(leftout) >= len(right):
+        candidates = len(left) * (len(left) - 1) // 2 if left is right else len(left) * len(right)
+        if leftout is None or len(right) + len(left) * len(leftout) >= candidates:
             chunk += [
                 (sides[x], sides[y])
                 for x, y in (combinations(left, 2) if left is right else product(left, right))

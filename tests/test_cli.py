@@ -157,10 +157,11 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv, work, subject",
         [
-            (("--id", "expansion", "--n", "20", "--k", "4"), 5 * 20**2, "expansion n=20 k=4 has 5"),
+            (("--id", "knapsack", "--n", "20", "--k", "4"), 8 * 20**2, "knapsack n=20 k=4 has 8"),
+            (("--id", "expansion", "--n", "20", "--k", "4"), 8 * 20**2, "expansion n=20 k=4 has 8"),
             (("--id", "branch", "--n", "20", "--k", "4", "--parity", "same"), 12 * 20**2, "branch n=20 k=4 has 12"),
         ],
-        ids=["expansion", "branch"],
+        ids=["knapsack", "expansion", "branch"],
     )
     def test_work_budget(self, capsys, monkeypatch, argv, work, subject):
         monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", work)
@@ -173,6 +174,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", work - 1)
         monkeypatch.setattr(identities, "degree", never)
         monkeypatch.setattr(identities, "partitions", never)
+        monkeypatch.setattr(identities, "second_part_family", never)
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err == f"error: {subject} terms of size n=20: work {work}; the limit is {work - 1}\n"
@@ -390,6 +392,12 @@ class TestCertifyCommand:
         assert code == 0 and len(reports) == 5
         for rep in reports:
             assert rep["pass"] and rep["regime"] == "symbolic"
+
+    @pytest.mark.parametrize("golden, argv", [("certify.txt", ()), ("certify.json", ("--format", "json"))],
+                             ids=["text", "json"])
+    def test_golden_byte_match(self, capsys, golden, argv):
+        code, out, _ = run_cli(capsys, "certify", *argv)
+        assert code == 0 and out == read_golden(golden)
 
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--name", "nope")

@@ -23,7 +23,7 @@ from sytknap.identities import (
     verify_ladder,
     verify_riordan,
 )
-from sytknap.partitions import MAX_RIM_HOOK_CELLS, make_partition, partitions, straighten
+from sytknap.partitions import MAX_RIM_HOOK_CELLS, make_partition, partitions, second_part_family, straighten
 from sytknap.paths import PathKind, count_paths
 
 
@@ -235,22 +235,44 @@ def _never_built(*args):
     raise AssertionError("a term was built past the budget")
 
 
+def test_family_size_counts_the_family():
+    for n in range(80):
+        for k in range(n + 1):
+            for same in (True, False):
+                assert identities._family_size(n, k, same) == len(second_part_family(n, k, same))
+    for k in (-1, 9):
+        with pytest.raises(ValueError, match=f"^need 0 <= k <= n, got n=5, k={k}$"):
+            identities._family_size(5, k, True)
+
+
 class TestWorkBudget:
-    """verify_expansion and verify_branch_rows share the ladders' work
-    budget on terms * n^2."""
+    """verify_knapsack, verify_expansion and verify_branch_rows share the
+    ladders' work budget on terms * n^2, and count their families before
+    listing them."""
 
     @staticmethod
     def refuse_terms(monkeypatch):
-        for name in ("degree", "partitions", "fat_hook_value", "three_row_value"):
+        for name in ("degree", "partitions", "second_part_family", "fat_hook_value", "three_row_value"):
             monkeypatch.setattr(identities, name, _never_built)
 
-    def test_expansion(self, monkeypatch):
-        # n = 20, k = 4: k//2 + 3 = 5 terms of 20 cells
-        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 5 * 20**2)
-        assert verify_expansion(20, 4).passed
-        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 5 * 20**2 - 1)
+    def test_knapsack(self, monkeypatch):
+        # n = 20, k = 4: both families, (16, 4) ... (12, 4, 4), 5 members,
+        # and 3 hooks of 20 cells
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 8 * 20**2)
+        assert all(r.passed for r in verify_knapsack(20, 4))
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 8 * 20**2 - 1)
         self.refuse_terms(monkeypatch)
-        with pytest.raises(ValueError, match="^expansion n=20 k=4 has 5 terms of size n=20: work 2000; the limit is 1999$"):
+        with pytest.raises(ValueError, match="^knapsack n=20 k=4 has 8 terms of size n=20: work 3200; the limit is 3199$"):
+            verify_knapsack(20, 4)
+
+    def test_expansion(self, monkeypatch):
+        # n = 20, k = 4: k//2 + 3 = 5 terms and the 3 same-parity members,
+        # of 20 cells
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 8 * 20**2)
+        assert verify_expansion(20, 4).passed
+        monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", 8 * 20**2 - 1)
+        self.refuse_terms(monkeypatch)
+        with pytest.raises(ValueError, match="^expansion n=20 k=4 has 8 terms of size n=20: work 3200; the limit is 3199$"):
             verify_expansion(20, 4)
 
     def test_branch(self, monkeypatch):
@@ -264,17 +286,24 @@ class TestWorkBudget:
             verify_branch_rows(20, 4, True)
 
     def test_default_budget(self, monkeypatch):
-        # expansion at n = 6000, k = 1100 (553 terms) and branch at n = 4000,
-        # k = 600 (301 members) fit, and each takes about 2 s
-        assert 553 * 6_000**2 <= identities.MAX_ANALYTIC_WORK
+        # knapsack at n = 5000, k = 796 (800 terms), expansion at n = 6000,
+        # k = 550 (554 terms) and branch at n = 4000, k = 600 (301 members)
+        # fit, and each takes under 2 s
+        assert 800 * 5_000**2 <= identities.MAX_ANALYTIC_WORK < 801 * 5_000**2
+        assert 554 * 6_000**2 <= identities.MAX_ANALYTIC_WORK
         assert 4 * 301 * 4_000**2 <= identities.MAX_ANALYTIC_WORK
         self.refuse_terms(monkeypatch)
+        # (20 000, 6000) ran past 50 s before the budget
+        for n, k in [(5_000, 797), (20_000, 6_000)]:
+            with pytest.raises(ValueError, match=f"^knapsack n={n} k={k} has .* the limit is"):
+                verify_knapsack(n, k)
         # 28.5 s and, swapped, 15.5 s before the budget
-        for n, k in [(10_000, 3_000), (10_000, 4_999)]:
+        for n, k in [(6_000, 1_100), (10_000, 3_000), (10_000, 4_999)]:
             with pytest.raises(ValueError, match=f"^expansion n={n} k={k} has .* the limit is"):
                 verify_expansion(n, k)
-        # 3.7 s and 32.6 s before the budget
-        for n, k in [(5_000, 1_000), (10_000, 2_000)]:
+        # 3.7 s and 32.6 s before the budget; n = 2e8 listed 3e7 members and
+        # died of a MemoryError under a 1 GB address-space limit
+        for n, k in [(5_000, 1_000), (10_000, 2_000), (200_000_000, 60_000_000)]:
             with pytest.raises(ValueError, match=f"^branch n={n} k={k} has .* the limit is"):
                 verify_branch_rows(n, k, True)
 

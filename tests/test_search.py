@@ -278,7 +278,7 @@ class TestJoinCanFail:
             ("_level_sums", "slack < len(indexes) - 1", "slack < len(indexes)", 5, 28),
             ("_level_sums", "slack < len(indexes) - 1", "slack < len(indexes)", 6, 176),
             ("_level_sums", "slack < len(indexes) - 1", "slack < len(indexes)", 7, 793),
-            ("_join", " and (left is not right or x & -x < y & -y)", "", 4, 10_000_000),
+            ("_join", " and (left is not right or x & -x < y & -y)", "", 5, 10_000_000),
             ("_join", "(y := x ^ flip) in wanted", "(y := x ^ flip)", 5, 10_000_000),
         ],
         ids=["cut-size-left-out-5", "cut-size-left-out-6", "cut-size-left-out-7", "leave-out-order", "no-membership"],
@@ -415,6 +415,24 @@ class TestTopSize:
         finally:
             tracemalloc.stop()
         assert peak / 1e6 < 24
+
+
+class _Unlisted(list):
+    """Left-out subsets that may be counted but not read."""
+
+    def __iter__(self):
+        raise AssertionError("the join read the left-out subsets")
+
+
+class TestJoinRoute:
+    def test_compares_when_that_costs_less(self):
+        # one subset against ten: 10 candidates, where joining through the 9
+        # left-out subsets takes 10 + 1 * 9 steps
+        shapes = [(20 - i,) for i in range(20)]
+        right = [1 << i for i in range(1, 11)]
+        leftout = _Unlisted(1 << i for i in range(11, 20))
+        chunk = search._join([([1], right)], leftout, (1 << 20) - 1, _Sides(shapes))
+        assert chunk == [(((20,),), ((20 - i,),)) for i in range(1, 11)]
 
 
 class TestSides:

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import factorial
@@ -68,6 +69,19 @@ class TestPoly:
         with pytest.raises(ValueError):
             _ = k + x
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_foreign_operand_raises(self, op):
+        (k, m) = poly_ring("k", "m")
+        with pytest.raises(TypeError, match=r"^str is not a polynomial over \('k', 'm'\)$"):
+            op(k, "x")
+
+    def test_lead_coeff_and_primitive(self):
+        (k, m) = poly_ring("k", "m")
+        assert Poly.constant(("k", "m"), 0).lead_coeff() == 0
+        p = 4 * m - 6 * k**2 - 2
+        assert (p.lead_coeff(), p.content()) == (-6, 2)
+        assert p.primitive() == 3 * k**2 - 2 * m + 1
+
     def test_negative_power_rejected(self):
         (k, m) = poly_ring("k", "m")
         assert (k + m) ** 0 == 1
@@ -121,6 +135,17 @@ class TestRationalFn:
         assert f.evaluate({"k": 3, "m": 1}) == Fraction(2)
         with pytest.raises(ZeroDivisionError, match="^denominator vanishes at"):
             f.evaluate({"k": 2, "m": 2})
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_foreign_operand_raises(self, op):
+        (k, m) = poly_ring("k", "m")
+        with pytest.raises(TypeError, match=r"^str is not a polynomial over \('k', 'm'\)$"):
+            op(RationalFn(k, m), "x")
+
+    def test_equality_with_a_non_number_is_false(self):
+        (k, m) = poly_ring("k", "m")
+        assert (RationalFn(k) == "x") is False
+        assert RationalFn(k) != "x"
 
     def test_arithmetic(self):
         (k, m) = poly_ring("k", "m")
@@ -219,6 +244,14 @@ class TestFactorialProduct:
                 factorial(point + 1) * factorial(point - 1),
             )
             assert fp.poly_part.evaluate(values) == lhs
+
+    def test_ratio_of_products_without_factorials(self):
+        # (k+3)!/(k+1)! and (m+1)!/m! keep no factorial once built
+        (k, m) = poly_ring("k", "m")
+        a = FactorialProduct([(k + 3, 1), (k + 1, -1)])
+        b = FactorialProduct([(m + 1, 1), (m, -1)])
+        assert not a.factors and not b.factors
+        assert a.ratio(b) == RationalFn((k + 2) * (k + 3), m + 1)
 
     def test_identity_ratio(self):
         (k, m) = poly_ring("k", "m")
