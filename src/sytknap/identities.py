@@ -21,6 +21,7 @@ from .partitions import (
     second_part_family,
     square_two_tail_partitions,
     straighten,
+    third_parts,
     three_row,
     to_decimal,
 )
@@ -77,8 +78,8 @@ class Report:
 # verify_hook_wrap's budget on hooks * n * isqrt(n): the rim hooks that can
 # be added, each giving a shape of n = cells + k cells whose hook product
 # costs about n^1.5.  Through the CLI on a 2-core VM, the staircase
-# (51, 50, ..., 1), accepted up to k = 679, takes 0.9 s at that k, and the
-# column 1^10000 at k = 58 0.7 s
+# (51, 50, ..., 1), accepted up to k = 679, takes 0.6 s at that k, and the
+# column 1^10000 at k = 58 0.45 s
 MAX_HOOK_WRAP_WORK = 60_000_000
 
 # the ladder verifiers' budget on their terms, d(d+1)/2 + 2d + 2, so
@@ -301,15 +302,6 @@ def _check_work(subject: str, terms: int, n: int, size: str = "n") -> None:
         )
 
 
-def _family_size(n: int, k: int, same_parity: bool) -> int:
-    """len(second_part_family(n, k, same_parity)), counted without listing
-    the family, after the same check of 0 <= k <= n."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    first = k % 2 if same_parity else 1 - k % 2
-    return len(range(first, min(k, n - 2 * k) + 1, 2))
-
-
 def _check_ladder_budget(name: str, d: int, k: int, m: int) -> None:
     """Refuse a ladder of more than MAX_ANALYTIC_TERMS terms, d(d+1)/2 +
     2d + 2, or past the work budget at 2k+m."""
@@ -392,7 +384,7 @@ def verify_expansion(n: int, k: int) -> Report:
     m = n - 2 * k
     if k < 1 or m < 2:
         raise ValueError(f"need k >= 1 and n - 2k >= 2, got n={n}, k={k}")
-    _check_work(f"expansion n={n} k={k}", k // 2 + 3 + _family_size(n, k, True), n)
+    _check_work(f"expansion n={n} k={k}", k // 2 + 3 + len(third_parts(n, k, True)), n)
     triples = [(m + 2 * j, k, k - 2 * j) for j in range(k // 2 + 1)]
     terms = _fat_hook_terms("L", _ladder_args(k, m, 2))
     terms += _closed_form_terms("R", "three-row", triples)
@@ -479,7 +471,7 @@ def verify_branch_rows(n: int, k: int, same_parity: bool) -> Report:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    size = _family_size(n, k, same_parity)
+    size = len(third_parts(n, k, same_parity))
     if not size:
         raise ValueError(f"empty family for (n, k) = {(n, k)}")
     _check_work(f"branch n={n} k={k}", 4 * size, n)

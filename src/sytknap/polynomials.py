@@ -75,9 +75,9 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Poly.constant(self.vars, other)
-        return isinstance(other, Poly) and self.vars == other.vars and self.coeffs == other.coeffs
+        if not isinstance(other, (Poly, int)):
+            return NotImplemented
+        return getattr(other, "vars", self.vars) == self.vars and self.coeffs == _poly(other, self.vars).coeffs
 
     def key(self) -> tuple:
         """Canonical hashable form (sorted exponent/coefficient pairs)."""
@@ -170,7 +170,8 @@ def poly_ring(*names: str) -> tuple[Poly, ...]:
 class RationalFn:
     """Quotient of two Polys, normalized by integer content and sign only.
 
-    Equality is decided by cross-multiplication, never by sampling.
+    Equality is decided by cross-multiplication, never by sampling; a value
+    over another variable set is unequal, as it is for Poly.
     """
 
     __slots__ = ("num", "den")
@@ -220,6 +221,8 @@ class RationalFn:
     def __eq__(self, other):
         if not isinstance(other, (RationalFn, Poly, int)):
             return NotImplemented
+        if getattr(other, "vars", self.vars) != self.vars:
+            return False
         other = _rational(other, self.vars)
         return (self.num * other.den - other.num * self.den).is_zero()
 

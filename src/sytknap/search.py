@@ -10,7 +10,7 @@ from itertools import accumulate, combinations, product
 from math import comb
 
 from .degrees import degree, fat_hook_value
-from .identities import Report, Term, _check_sweep, verify_knapsack
+from .identities import Report, Term, _check_sweep, _ladder_args, _ladder_lead, verify_knapsack
 from .partitions import Partition, fat_hook, format_shape, partitions
 
 
@@ -65,6 +65,9 @@ MAX_JOIN_CANDIDATES = 20_000_000
 # subset costs about 1 us against 0.3 us held, and streaming every size
 # made the search-full benchmark, whose top sizes all fit, 17% slower.
 MAX_HELD_TOP_SUBSETS = 16_384
+
+# The pairs a search keeps: it stops as soon as one more pair exists.
+MAX_RESULTS = 50_000
 
 
 @dataclass(slots=True)
@@ -127,12 +130,7 @@ def _known_knapsack_instances(n: int) -> dict[frozenset, str]:
     return known
 
 
-def find_equal_sum_pairs(
-    pool: Pool,
-    max_side: int = 8,
-    max_evals: int = 10_000_000,
-    max_results: int | None = 50_000,
-) -> SearchResult:
+def find_equal_sum_pairs(pool: Pool, max_side: int = 8, max_evals: int = 10_000_000) -> SearchResult:
     """All pairs of disjoint nonempty subsets of the pool (up to max_side
     members per side) with equal degree sums, deduplicated up to swapping
     sides.
@@ -161,8 +159,8 @@ def find_equal_sum_pairs(
     - max_evals caps the subsets enumerated, in itertools.combinations
       order by size; pairs among the subsets enumerated before the cap are
       still emitted.
-    - max_results caps the pairs kept (None: no cap).  The search stops as
-      soon as one more pair exists, so larger subsets may never be built.
+    - MAX_RESULTS caps the pairs kept.  The search stops as soon as one
+      more pair exists, so larger subsets may never be built.
     - MAX_JOIN_CANDIDATES caps the join's candidate comparisons: for each
       sum, |A| * |B| for the size-a and size-b subsets A and B with that
       sum, or C(|A|, 2) when a = b, whichever way that split is joined.  The
@@ -171,7 +169,7 @@ def find_equal_sum_pairs(
 
     subsets_enumerated counts the subsets built before the stop (one more
     than max_evals when that cap cut enumeration).  stopped_by names the
-    budget that cut the output, with max_results taking precedence.
+    budget that cut the output, with MAX_RESULTS taking precedence.
 
     The cyclic garbage collector is paused for the call (the search makes
     no reference cycles) and left as it was found.
@@ -180,12 +178,10 @@ def find_equal_sum_pairs(
         raise ValueError(f"need max_side >= 1, got {max_side}")
     if max_evals < 0:
         raise ValueError(f"need max_evals >= 0, got {max_evals}")
-    if max_results is not None and max_results < 0:
-        raise ValueError(f"need max_results >= 0, got {max_results}")
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        pairs, enumerated, stopped_by = _search(pool, max_side, max_evals, max_results)
+        pairs, enumerated, stopped_by = _search(pool, max_side, max_evals)
         _label_rediscoveries(pool.n, pairs)
     finally:
         if gc_was_enabled:
@@ -193,7 +189,7 @@ def find_equal_sum_pairs(
     return SearchResult(pairs, enumerated, stopped_by)
 
 
-def _search(pool, max_side, max_evals, max_results):
+def _search(pool, max_side, max_evals):
     """The level-by-level join of find_equal_sum_pairs, unlabelled:
     (pairs, subsets enumerated, stopped_by)."""
     members = pool.members
@@ -245,8 +241,8 @@ def _search(pool, max_side, max_evals, max_results):
             chunk = _join(buckets, leftout, full, sides)
             if not chunk:
                 continue
-            if max_results is not None and len(pairs) + len(chunk) > max_results:
-                del chunk[max_results - len(pairs):]
+            if len(pairs) + len(chunk) > MAX_RESULTS:
+                del chunk[MAX_RESULTS - len(pairs):]
                 stopped_by = "max_results"
             pairs += [FoundIdentity(pool.n, left, right, total) for left, right in chunk]
             if stopped_by:
@@ -497,12 +493,12 @@ def scan_even_ladders(k: int, m: int, d_max: int) -> list[ScanRow]:
     # sums[c]: the first c ladder values.  Only the first m//2 + 1 triples
     # are shapes; the later ones have negative tails and vanish wherever the
     # fat-hook form is defined, and it is singular at j = k + m
-    ladder = (fat_hook_value(k + j, k + j, m - 2 * j) for j in range(m // 2 + 1))
+    ladder = (fat_hook_value(*args) for args in _ladder_args(k, m, m // 2 + 1))
     sums = list(accumulate(ladder, initial=0))
     rows = []
     for d in range(0, d_max + 1, 2):
         value = sums[min(d, m // 2 + 1)]
-        probe_shape = fat_hook(k + d, k, m - d) if d else None
+        probe_shape = fat_hook(*_ladder_lead(d // 2, k, m)) if d else None
         probe_value = degree(probe_shape) if probe_shape is not None else None
         residual = value - probe_value if probe_value is not None else None
         candidates = []

@@ -23,7 +23,7 @@ from sytknap.identities import (
     verify_ladder,
     verify_riordan,
 )
-from sytknap.partitions import MAX_RIM_HOOK_CELLS, make_partition, partitions, second_part_family, straighten
+from sytknap.partitions import MAX_RIM_HOOK_CELLS, make_partition, partitions, straighten
 from sytknap.paths import PathKind, count_paths
 
 
@@ -233,16 +233,6 @@ class TestLadder:
 
 def _never_built(*args):
     raise AssertionError("a term was built past the budget")
-
-
-def test_family_size_counts_the_family():
-    for n in range(80):
-        for k in range(n + 1):
-            for same in (True, False):
-                assert identities._family_size(n, k, same) == len(second_part_family(n, k, same))
-    for k in (-1, 9):
-        with pytest.raises(ValueError, match=f"^need 0 <= k <= n, got n=5, k={k}$"):
-            identities._family_size(5, k, True)
 
 
 class TestWorkBudget:

@@ -1,4 +1,5 @@
 import importlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from sytknap.partitions import (
     second_part_family,
     square_two_tail_partitions,
     straighten,
+    third_parts,
     three_row,
 )
 
@@ -156,6 +158,18 @@ class TestBranching:
             for p in partitions(n):
                 assert len(branching_children(p)) == len(set(p))
 
+    def test_children_are_the_corners(self):
+        # the corner rule on the diagram: row i loses its last cell where it
+        # is longer than the row below
+        for n in range(1, 13):
+            for p in partitions(n):
+                corners = [
+                    make_partition(p[:i] + (p[i] - 1,) + p[i + 1:])
+                    for i in range(len(p))
+                    if i + 1 == len(p) or p[i] > p[i + 1]
+                ]
+                assert branching_children(p) == sorted(corners, reverse=True), p
+
 
 class TestRimHooks:
     def test_known_alternating_example(self):
@@ -209,6 +223,25 @@ class TestRimHooks:
                         assert all(a >= b for a, b in zip(lam, padded_mu))
                         assert _is_rim_strip(lam, padded_mu)
 
+    def test_every_rim_hook_with_its_sign_from_the_diagram(self):
+        # each lam containing mu whose added cells form a rim hook, found on
+        # the diagram, with the sign (-1)**(rows where lam exceeds mu - 1)
+        signs = {1: 0, -1: 0}
+        for m in range(10):
+            for mu in partitions(m):
+                for k in range(1, 10):
+                    expected = []
+                    for lam in partitions(m + k):
+                        if len(lam) < len(mu):
+                            continue
+                        padded_mu = pad(mu, len(lam))
+                        if all(a >= b for a, b in zip(lam, padded_mu)) and _is_rim_strip(lam, padded_mu):
+                            rows = sum(a > b for a, b in zip(lam, padded_mu))
+                            expected.append(((-1) ** (rows - 1), lam))
+                            signs[(-1) ** (rows - 1)] += 1
+                    assert add_rim_hooks(mu, k) == expected, (mu, k)
+        assert min(signs.values()) > 1000, signs
+
 
 class TestStraighten:
     def test_examples(self):
@@ -219,6 +252,25 @@ class TestStraighten:
         assert straighten(()) == (1, ())
         assert straighten((3, 3, 0)) is None
         assert straighten((4, 2, -1)) is None
+
+    def test_sign_is_the_parity_of_the_inversions(self):
+        # random sequences, some with repeats or negatives, and one of 700
+        rng = random.Random(23)
+        sequences = [rng.sample(range(3 * r), r) for r in range(12) for _ in range(40)]
+        sequences += [[rng.randrange(-2, 2 * r) for _ in range(r)] for r in range(12) for _ in range(40)]
+        sequences.append(rng.sample(range(2_000), 700))
+        signs = {1: 0, -1: 0, None: 0}
+        for beta in sequences:
+            rows, straight = len(beta), straighten(tuple(beta))
+            if len(set(beta)) < rows or min(beta, default=0) < 0:
+                expected = None
+            else:
+                inversions = sum(b < c for i, b in enumerate(beta) for c in beta[i + 1:])
+                ordered = sorted(beta, reverse=True)
+                expected = ((-1) ** inversions, make_partition([b - (rows - 1 - i) for i, b in enumerate(ordered)]))
+            assert straight == expected, beta
+            signs[straight and straight[0]] += 1
+        assert min(signs.values()) > 100, signs
 
     def test_three_row_values_in_a_box(self):
         # the three-row closed form at any triple is 0 or +-f(lambda), as
@@ -238,7 +290,7 @@ class TestStraighten:
 
 
 def _is_rim_strip(lam, mu):
-    """Added cells are connected along the rim and one cell thick."""
+    """Added cells are connected through shared edges and one cell thick."""
     cells = set()
     for i in range(len(lam)):
         for j in range(mu[i], lam[i]):
@@ -247,13 +299,13 @@ def _is_rim_strip(lam, mu):
     for (i, j) in cells:
         if {(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells:
             return False
-    # connected via side-adjacency or diagonal (i+1, j-1) rim steps
+    # connected through shared edges
     start = next(iter(cells))
     seen = {start}
     frontier = [start]
     while frontier:
         i, j = frontier.pop()
-        for nxt in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1), (i + 1, j - 1), (i - 1, j + 1)):
+        for nxt in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
             if nxt in cells and nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -309,6 +361,17 @@ class TestSecondPartFamily:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             second_part_family(4, 5, True)
+
+    def test_third_parts_are_the_family(self):
+        for n in range(80):
+            for k in range(n + 1):
+                for same in (True, False):
+                    family = second_part_family(n, k, same)
+                    assert [pad(p, 3)[2] for p in family] == list(third_parts(n, k, same)), (n, k, same)
+        for k in (-1, 9):
+            for call in (third_parts, second_part_family):
+                with pytest.raises(ValueError, match=f"^need 0 <= k <= n, got n=5, k={k}$"):
+                    call(5, k, True)
 
 
 class TestFamilies:

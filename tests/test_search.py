@@ -9,6 +9,7 @@ import tracemalloc
 from collections import Counter
 from itertools import chain, combinations
 from math import comb
+from unittest import mock
 
 import pytest
 
@@ -81,7 +82,7 @@ class TestFindPairs:
 
     def test_result_cap_truncates(self):
         full = find_equal_sum_pairs(build_pool(10), max_side=3)
-        capped = find_equal_sum_pairs(build_pool(10), max_side=3, max_results=5)
+        capped = capped_search(build_pool(10), max_side=3, max_results=5)
         assert capped.truncated and len(capped.pairs) == 5
         assert capped.pairs == full.pairs[:5]
 
@@ -89,6 +90,17 @@ class TestFindPairs:
         a = find_equal_sum_pairs(build_pool(9), max_side=3)
         b = find_equal_sum_pairs(build_pool(9), max_side=3)
         assert a.pairs == b.pairs
+
+
+UNCAPPED = sys.maxsize  # a result cap that no search here fills
+
+
+def capped_search(pool, max_side, max_evals=10_000_000, max_results=None):
+    """find_equal_sum_pairs with search.MAX_RESULTS set to max_results for
+    the call, when one is given."""
+    cap = search.MAX_RESULTS if max_results is None else max_results
+    with mock.patch.object(search, "MAX_RESULTS", cap):
+        return find_equal_sum_pairs(pool, max_side, max_evals)
 
 
 def reference_search(pool, max_side, max_evals=10_000_000, max_results=50_000):
@@ -117,16 +129,17 @@ def _reference(pool, top, max_evals, max_results):
         for a, b in combinations(bucket, 2)
         if not set(a) & set(b)
     )
-    if max_results is not None and len(raw) > max_results:
+    if len(raw) > max_results:
         raw, stopped_by = raw[:max_results], "max_results"
     shapes = [shape for shape, _ in members]
     triples = [(tuple(shapes[i] for i in a), tuple(shapes[i] for i in b), total) for _, total, a, b in raw]
     return triples, enumerated, stopped_by
 
 
-def assert_matches_reference(pool, max_side, **caps):
-    res = find_equal_sum_pairs(pool, max_side, **caps)
-    triples, enumerated, stopped_by = reference_search(pool, max_side, **caps)
+def assert_matches_reference(pool, max_side, max_evals=10_000_000, max_results=None):
+    cap = search.MAX_RESULTS if max_results is None else max_results
+    res = capped_search(pool, max_side, max_evals, cap)
+    triples, enumerated, stopped_by = reference_search(pool, max_side, max_evals, cap)
     assert [(p.left, p.right, p.total) for p in res.pairs] == triples
     assert res.stopped_by == stopped_by
     assert res.truncated == (stopped_by is not None)
@@ -151,12 +164,12 @@ class TestAgainstReference:
     def test_sides_as_large_as_the_pool(self, n):
         pool = build_pool(n)
         for max_side in (len(pool.members), len(pool.members) + 3):
-            assert_matches_reference(pool, max_side, max_results=None)
+            assert_matches_reference(pool, max_side, max_results=UNCAPPED)
 
     @pytest.mark.parametrize("n, max_side", [(6, 2), (9, 3), (10, 4)])
     def test_result_cap_edges(self, n, max_side):
         pool = build_pool(n)
-        count = len(find_equal_sum_pairs(pool, max_side, max_results=None).pairs)
+        count = len(capped_search(pool, max_side, max_results=UNCAPPED).pairs)
         for cap in (0, 1, count - 1, count, count + 1):
             res = assert_matches_reference(pool, max_side, max_results=cap)
             assert res.truncated == (cap < count)
@@ -167,7 +180,7 @@ class TestAgainstReference:
         m = len(pool.members)
         two = m + m * (m - 1) // 2  # subsets of sizes 1 and 2
         for max_evals in (0, 1, m - 1, m, m + 7, two, two + 1, two + 100):
-            for max_results in (None, 1, 40, 500):
+            for max_results in (UNCAPPED, 1, 40, 500):
                 assert_matches_reference(pool, 4, max_evals=max_evals, max_results=max_results)
 
     def test_eval_cap_at_the_last_subset(self):
@@ -219,7 +232,7 @@ class TestLeaveOut:
         # a size cut by max_evals is incomplete: never a left-out size
         pool = build_pool(n)
         for max_evals in self.size_boundaries(len(pool.members)):
-            self.held_and_streamed(monkeypatch, pool, max_evals=max_evals, max_results=None)
+            self.held_and_streamed(monkeypatch, pool, max_evals=max_evals, max_results=UNCAPPED)
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_result_cap_in_the_top_levels(self, monkeypatch, n):
@@ -227,7 +240,7 @@ class TestLeaveOut:
         # level m has pairs that use the whole pool
         pool = build_pool(n)
         m = len(pool.members)
-        pairs = find_equal_sum_pairs(pool, m, max_results=None).pairs
+        pairs = capped_search(pool, m, max_results=UNCAPPED).pairs
         caps = {len(pairs) - 1}
         for t in range(m - 2, m + 1):
             before = sum(len(p.left) + len(p.right) < t for p in pairs)
@@ -287,7 +300,7 @@ class TestJoinCanFail:
         pool = build_pool(n)
         self.mutate(monkeypatch, name, old, new)
         with pytest.raises(AssertionError):
-            assert_matches_reference(pool, len(pool.members), max_evals=max_evals, max_results=None)
+            assert_matches_reference(pool, len(pool.members), max_evals=max_evals, max_results=UNCAPPED)
 
     @pytest.mark.parametrize("n, max_side", [(9, 3), (10, 4)])
     def test_rebuilt_frontier_without_the_cut_fails_the_oracle(self, monkeypatch, n, max_side):
@@ -298,7 +311,7 @@ class TestJoinCanFail:
         self.mutate(monkeypatch, "_search", "                _cut(frontier, budget)\n", "")
         for max_evals in (below + 1, (below + full) // 2, full - 1):
             with pytest.raises(AssertionError):
-                assert_matches_reference(pool, max_side, max_evals=max_evals, max_results=None)
+                assert_matches_reference(pool, max_side, max_evals=max_evals, max_results=UNCAPPED)
 
 
 class TestTopSize:
@@ -342,13 +355,13 @@ class TestTopSize:
         below = sum(comb(m, s) for s in range(1, max_side))
         full = below + comb(m, max_side)
         for max_evals in (below, below + 1, below + 9, (below + full) // 2, full - 1):
-            res = assert_matches_reference(pool, max_side, max_evals=max_evals, max_results=None)
+            res = assert_matches_reference(pool, max_side, max_evals=max_evals, max_results=UNCAPPED)
             assert res.stopped_by == "max_evals"
 
     @pytest.mark.parametrize("n, max_side", [(7, 1), (9, 2), (10, 3), (11, 4)])
     def test_result_cap_inside_the_self_join(self, n, max_side):
         pool = build_pool(n)
-        pairs = find_equal_sum_pairs(pool, max_side, max_results=None).pairs
+        pairs = capped_search(pool, max_side, max_results=UNCAPPED).pairs
         before = sum(len(p.left) + len(p.right) < 2 * max_side for p in pairs)
         assert len(pairs) - before >= 3  # the self-join level has pairs to cut
         for cap in (before, before + 1, (before + len(pairs)) // 2, len(pairs) - 1):
@@ -358,14 +371,14 @@ class TestTopSize:
     @pytest.mark.parametrize("n, max_side", [(9, 1), (9, 3), (10, 4)])
     def test_join_budget_inside_the_self_join(self, monkeypatch, n, max_side):
         pool = build_pool(n)
-        uncapped = find_equal_sum_pairs(pool, max_side, max_results=None).pairs
+        uncapped = capped_search(pool, max_side, max_results=UNCAPPED).pairs
         costs = self.self_join_costs(pool, max_side)
         before = TestJoinBudget.comparisons(pool, max_side) - sum(cost for _, cost in costs)
         for stop in (0, 1, len(costs) // 2, len(costs) - 1):
             # room for every sum of the self-join level below costs[stop]
             budget = before + sum(cost for _, cost in costs[:stop])
             monkeypatch.setattr(search, "MAX_JOIN_CANDIDATES", budget)
-            res = find_equal_sum_pairs(pool, max_side, max_results=None)
+            res = capped_search(pool, max_side, max_results=UNCAPPED)
             assert res.stopped_by == "max_candidates"
             first_out = costs[stop][0]
             assert res.pairs == [
@@ -495,13 +508,13 @@ class TestJoinBudget:
     @pytest.mark.parametrize("n, max_side", [(9, 3), (10, 4)])
     def test_stops_past_the_budget(self, monkeypatch, n, max_side):
         pool = build_pool(n)
-        uncapped = find_equal_sum_pairs(pool, max_side, max_results=None)
+        uncapped = capped_search(pool, max_side, max_results=UNCAPPED)
         count = self.comparisons(pool, max_side)
         monkeypatch.setattr(search, "MAX_JOIN_CANDIDATES", count)
-        exact = find_equal_sum_pairs(pool, max_side, max_results=None)
+        exact = capped_search(pool, max_side, max_results=UNCAPPED)
         assert exact.stopped_by is None and exact.pairs == uncapped.pairs
         monkeypatch.setattr(search, "MAX_JOIN_CANDIDATES", count - 1)
-        short = find_equal_sum_pairs(pool, max_side, max_results=None)
+        short = capped_search(pool, max_side, max_results=UNCAPPED)
         assert short.stopped_by == "max_candidates" and short.truncated
         assert short.pairs == uncapped.pairs[: len(short.pairs)]
         assert short.subsets_enumerated == uncapped.subsets_enumerated
@@ -509,9 +522,9 @@ class TestJoinBudget:
     def test_result_cap_takes_precedence(self, monkeypatch):
         pool = build_pool(9)
         monkeypatch.setattr(search, "MAX_JOIN_CANDIDATES", self.comparisons(pool, 3) - 1)
-        res = find_equal_sum_pairs(pool, 3, max_results=5)
+        res = capped_search(pool, 3, max_results=5)
         assert res.stopped_by == "max_results"
-        assert res.pairs == find_equal_sum_pairs(pool, 3, max_results=None).pairs[:5]
+        assert res.pairs == capped_search(pool, 3, max_results=UNCAPPED).pairs[:5]
 
     def test_default_is_far_above_every_benchmark_search(self):
         assert search.MAX_JOIN_CANDIDATES >= 10 * self.comparisons(build_pool(8), 8)
@@ -519,7 +532,7 @@ class TestJoinBudget:
 
 class TestBudgets:
     @pytest.mark.parametrize(
-        "caps", [{"max_side": 0}, {"max_side": -1}, {"max_evals": -1}, {"max_results": -1}]
+        "caps", [{"max_side": 0}, {"max_side": -1}, {"max_evals": -1}]
     )
     def test_negative_or_empty_budget_rejected(self, caps):
         with pytest.raises(ValueError):

@@ -147,6 +147,19 @@ class TestRationalFn:
         assert (RationalFn(k) == "x") is False
         assert RationalFn(k) != "x"
 
+    def test_one_equality_rule_for_the_carrier(self):
+        # a value over another variable set is unequal in either class and
+        # from either side; a Poly equals its RationalFn from either side
+        (k, m) = poly_ring("k", "m")
+        (x,) = poly_ring("x")
+        for a, b in [(k, x), (RationalFn(k), RationalFn(x)), (RationalFn(k), x), (k, RationalFn(x))]:
+            assert (a == b) is False and (b == a) is False
+            assert a != b and b != a
+        three = Poly.constant(("k", "m"), 3)
+        for a, b in [(k + m, RationalFn(k + m)), (k, RationalFn(2 * k, 2)), (three, 3), (RationalFn(three), 3)]:
+            assert (a == b) is True and (b == a) is True
+        assert (k == "k") is False and k != "k"
+
     def test_arithmetic(self):
         (k, m) = poly_ring("k", "m")
         a = RationalFn(1, k)
