@@ -120,7 +120,7 @@ def _cmd_search(args) -> tuple[list[str], int]:
 
     families = tuple(args.pool.split("+"))
     pool = build_pool(args.n, families)
-    result = find_equal_sum_pairs(pool, args.max_side, args.max_evals)
+    result = find_equal_sum_pairs(pool, args.max_side)
     if args.format == "json":
         from json import dumps
 
@@ -222,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pool", default="3part+fathook")
     p.add_argument("--max-side", type=int, default=8)
-    p.add_argument("--max-evals", type=int, default=10_000_000)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_search)
 

@@ -202,8 +202,9 @@ def _triangle(d: int, k: int, m: int) -> list[tuple[int, int, int]]:
 
 def swapped(n: int, k: int) -> bool:
     """Single regime predicate: the two equations trade sides exactly when
-    the second part is large (k > ceil(n/3)) and of opposite parity to n."""
-    return k > (n + 2) // 3 and k % 2 != n % 2
+    the second part is of opposite parity to n and large (k > ceil(n/3)),
+    or n < 3: at (1, 0) and (2, 1) only the traded sides hold."""
+    return k % 2 != n % 2 and (k > (n + 2) // 3 or n < 3)
 
 
 def _knapsack_eq(n: int, k: int, eq: int) -> Report:

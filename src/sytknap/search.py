@@ -69,6 +69,10 @@ MAX_HELD_TOP_SUBSETS = 16_384
 # The pairs a search keeps: it stops as soon as one more pair exists.
 MAX_RESULTS = 50_000
 
+# The subsets a search builds: it stops before the size that would take it
+# past this many, so that size is never allocated.
+MAX_EVALS = 10_000_000
+
 
 @dataclass(slots=True)
 class FoundIdentity:
@@ -102,7 +106,8 @@ class SearchResult:
     stopped_by names the budget that cut the run short: "max_results" when
     more pairs existed than were kept, otherwise "max_candidates" when the
     join's comparisons would have passed MAX_JOIN_CANDIDATES, otherwise
-    "max_evals" when subset enumeration was cut, otherwise None.
+    "max_evals" when the next subset size would have passed MAX_EVALS,
+    otherwise None.
     """
 
     pairs: list[FoundIdentity]
@@ -130,7 +135,7 @@ def _known_knapsack_instances(n: int) -> dict[frozenset, str]:
     return known
 
 
-def find_equal_sum_pairs(pool: Pool, max_side: int = 8, max_evals: int = 10_000_000) -> SearchResult:
+def find_equal_sum_pairs(pool: Pool, max_side: int = 8) -> SearchResult:
     """All pairs of disjoint nonempty subsets of the pool (up to max_side
     members per side) with equal degree sums, deduplicated up to swapping
     sides.
@@ -153,35 +158,33 @@ def find_equal_sum_pairs(pool: Pool, max_side: int = 8, max_evals: int = 10_000_
     exists past t = m, and levels near it, where few subsets are left out
     at a sum, join through those (see _join), with the same output.
 
-    Three budgets stop it early and return the partial, still-ranked
-    results:
+    Three budgets stop it early, each so that the pairs kept are a prefix
+    of the uncapped ranking:
 
-    - max_evals caps the subsets enumerated, in itertools.combinations
-      order by size; pairs among the subsets enumerated before the cap are
-      still emitted.
+    - MAX_EVALS caps the subsets built.  A size is built whole or not at
+      all: before level t builds size t - 1, the search stops if C(m, t - 1)
+      more subsets would pass the cap, keeping the pairs of fewer than t
+      terms.
     - MAX_RESULTS caps the pairs kept.  The search stops as soon as one
       more pair exists, so larger subsets may never be built.
     - MAX_JOIN_CANDIDATES caps the join's candidate comparisons: for each
       sum, |A| * |B| for the size-a and size-b subsets A and B with that
       sum, or C(|A|, 2) when a = b, whichever way that split is joined.  The
-      search stops before the sum that would exceed it, so the pairs kept
-      are a prefix of the uncapped ones.
+      search stops before the sum that would exceed it.
 
-    subsets_enumerated counts the subsets built before the stop (one more
-    than max_evals when that cap cut enumeration).  stopped_by names the
-    budget that cut the output, with MAX_RESULTS taking precedence.
+    subsets_enumerated counts the subsets built before the stop.  stopped_by
+    names the budget that cut the output, with MAX_RESULTS taking
+    precedence.
 
     The cyclic garbage collector is paused for the call (the search makes
     no reference cycles) and left as it was found.
     """
     if max_side < 1:
         raise ValueError(f"need max_side >= 1, got {max_side}")
-    if max_evals < 0:
-        raise ValueError(f"need max_evals >= 0, got {max_evals}")
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        pairs, enumerated, stopped_by = _search(pool, max_side, max_evals)
+        pairs, enumerated, stopped_by = _search(pool, max_side)
         _label_rediscoveries(pool.n, pairs)
     finally:
         if gc_was_enabled:
@@ -189,7 +192,7 @@ def find_equal_sum_pairs(pool: Pool, max_side: int = 8, max_evals: int = 10_000_
     return SearchResult(pairs, enumerated, stopped_by)
 
 
-def _search(pool, max_side, max_evals):
+def _search(pool, max_side):
     """The level-by-level join of find_equal_sum_pairs, unlabelled:
     (pairs, subsets enumerated, stopped_by)."""
     members = pool.members
@@ -208,28 +211,28 @@ def _search(pool, max_side, max_evals):
     # indexed; two smaller once a streamed top size is indexed
     frontier = [(0, 0, tails[0])]
     enumerated = 0
-    evals_hit = False
     comparisons = 0
     stopped_by = None
     sides = _Sides(shape for shape, _ in members)
     pairs: list[FoundIdentity] = []
     for t in range(2, 2 * top + 1):
-        if len(indexes) <= min(t - 1, top) and not evals_hit:
+        if len(indexes) <= min(t - 1, top):
+            count = comb(m, len(indexes))  # the subsets of the next size
+            if enumerated + count > MAX_EVALS:
+                stopped_by = "max_evals"
+                break
+            enumerated += count
             filtered = streamed and len(indexes) == top
             grown = _extend(frontier, tails) if len(indexes) > 1 else frontier
             if not filtered:
                 frontier = grown
-            budget = max_evals - enumerated
-            built, evals_hit = _grow(indexes, grown, budget, filtered)
-            enumerated += built
+            _grow(indexes, grown, filtered)
             del grown
-        if streamed and t == 2 * top and len(indexes) == top + 1:
+        if streamed and t == 2 * top:
             indexes.clear()  # the streamed self-join reads only the frontier
-            # rebuild the size top - 1 frontier and replay _grow's cut on it;
-            # at top = 1 it is the size-0 frontier, which _grow cut in place
+            # rebuild the size top - 1 frontier; at top = 1 it is the size-0 one
             if top > 1:
                 frontier = _extend(frontier, tails)
-                _cut(frontier, budget)
             sums = _self_join_sums(frontier)
         else:
             sums = _level_sums(indexes, t, m - t, whole)
@@ -249,8 +252,6 @@ def _search(pool, max_side, max_evals):
                 break
         if stopped_by:
             break
-    if stopped_by is None and evals_hit:
-        stopped_by = "max_evals"
     return pairs, enumerated, stopped_by
 
 
@@ -259,33 +260,14 @@ def _extend(frontier, tails):
     return [(total + v, mask | b, tails[j + 1]) for total, mask, tail in frontier for v, b, j in tail]
 
 
-def _cut(frontier, budget):
-    """Trim the frontier in place to its first budget subsets: the entries
-    whose tails fit, then the next one with its tail cut.  Returns whether
-    it cut."""
-    for i, (total, mask, tail) in enumerate(frontier):
-        if len(tail) > budget:
-            frontier[i:] = [(total, mask, tail[:budget])]
-            return True
-        budget -= len(tail)
-    return False
-
-
-def _grow(indexes, frontier, budget, filtered):
+def _grow(indexes, frontier, filtered):
     """Append to indexes the sum index of the subsets one member larger than
-    the frontier's, built in itertools.combinations order until budget of
-    them are built: (subsets built, whether the budget cut enumeration).
-
-    A filtered index keeps only the sums a smaller size has: all that
-    levels top + 1 ... 2 top - 1 join a streamed top size with.  A cut
-    counts the subset past it as built and trims the frontier in place to
-    the entries walked (see _cut).
-    """
-    cut = _cut(frontier, budget)
+    the frontier's, in itertools.combinations order.  A filtered index keeps
+    only the sums a smaller size has: all that levels top + 1 ... 2 top - 1
+    join a streamed top size with."""
     wanted = set().union(*indexes[1:]) if filtered else None
     index = defaultdict(list)
     indexes.append(index)
-    built = 0
     for total, mask, tail in frontier:
         if wanted is None:
             for v, b, _ in tail:
@@ -294,8 +276,6 @@ def _grow(indexes, frontier, budget, filtered):
             for v, b, _ in tail:
                 if total + v in wanted:
                     index[total + v].append(mask | b)
-        built += len(tail)
-    return built + cut, cut
 
 
 def _self_join_sums(frontier):
@@ -339,9 +319,9 @@ def _level_sums(indexes, t, slack, whole):
 
     A level-t pair at sum S leaves out slack = m - t members with sum
     whole - 2 S.  Where the size-slack index is complete (built, and not
-    the last size built, which max_evals may cut or a streamed top size
-    filter), each sum comes with its subsets there: none at all when slack
-    is negative.  Elsewhere it comes with None."""
+    the last size built, which may be a filtered top size), each sum comes
+    with its subsets there: none at all when slack is negative.  Elsewhere
+    it comes with None."""
     if slack < 0:
         complement = {}
     elif slack < len(indexes) - 1:

@@ -426,7 +426,7 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize(
         "option, value, name",
-        [("--max-side", "0", "max_side"), ("--max-side", "-3", "max_side"), ("--max-evals", "-1", "max_evals")],
+        [("--max-side", "0", "max_side"), ("--max-side", "-3", "max_side")],
     )
     def test_bad_budget_is_usage_error(self, capsys, option, value, name):
         code, out, err = run_cli(capsys, "search", "--n", "6", option, value)
@@ -434,15 +434,23 @@ class TestSearchCommand:
         assert err.startswith("error: ") and name in err
         assert "Traceback" not in err
 
+    def test_subset_budget_is_not_an_option(self, capsys):
+        # the subset budget is search.MAX_EVALS, not a command-line value
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "6", "--max-evals", "5"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "unrecognized arguments: --max-evals 5" in err
+
 
 def _old_json(payload) -> str:
     """What --format json printed when the whole payload was one json.dumps."""
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _search_payload(n, max_side, max_evals=10_000_000):
+def _search_payload(n, max_side):
     pool = search.build_pool(n)
-    result = search.find_equal_sum_pairs(pool, max_side, max_evals)
+    result = search.find_equal_sum_pairs(pool, max_side)
     return {
         "n": n,
         "pool": sorted(format_shape(s) for s, _ in pool.members),
@@ -501,10 +509,11 @@ class TestStreamedJson:
          (6, 2, 0, "truncated, no pairs")],
         ids=["pairs", "no-pairs", "truncated", "truncated-no-pairs"],
     )
-    def test_search(self, capsys, n, max_side, max_evals, kind):
-        argv = ("search", "--n", str(n), "--max-side", str(max_side), "--max-evals", str(max_evals))
+    def test_search(self, capsys, monkeypatch, n, max_side, max_evals, kind):
+        monkeypatch.setattr(search, "MAX_EVALS", max_evals)
+        argv = ("search", "--n", str(n), "--max-side", str(max_side))
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
-        payload = _search_payload(n, max_side, max_evals)
+        payload = _search_payload(n, max_side)
         assert code == 0 and out == _old_json(payload)
         assert payload["truncated"] == ("truncated" in kind)
         assert (payload["pairs"] == []) == ("no pairs" in kind)

@@ -42,6 +42,16 @@ class TestRegime:
         assert not swapped(14, 5)
         assert not swapped(13, 5)
 
+    def test_both_equations_hold_at_every_small_n(self):
+        # the large-k criterion first applies at (4, 1); below n = 3 the
+        # opposite-parity cases (1, 0) and (2, 1) trade sides all the same
+        for n in range(1, 61):
+            for k in range(n // 2 + 1):
+                eq1, eq2 = verify_knapsack(n, k)
+                assert eq1.passed and eq2.passed, (n, k)
+                large = k % 2 != n % 2 and k > (n + 2) // 3
+                assert swapped(n, k) == (large or (n, k) in {(1, 0), (2, 1)}), (n, k)
+
 
 class TestKnapsack:
     def test_n20_k2_terms(self):

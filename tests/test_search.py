@@ -77,8 +77,11 @@ class TestFindPairs:
         assert sizes == sorted(sizes)
 
     def test_eval_cap_truncates(self):
-        res = find_equal_sum_pairs(build_pool(12), max_side=4, max_evals=100)
-        assert res.truncated and res.subsets_enumerated == 101
+        # 28 members: the 378 pairs of members would take 28 subsets past 100
+        res = capped_search(build_pool(12), max_side=4, max_evals=100)
+        assert res.stopped_by == "max_evals" and res.subsets_enumerated == 28
+        full = find_equal_sum_pairs(build_pool(12), max_side=4)
+        assert res.pairs == [p for p in full.pairs if len(p.left) + len(p.right) == 2]
 
     def test_result_cap_truncates(self):
         full = find_equal_sum_pairs(build_pool(10), max_side=3)
@@ -95,18 +98,21 @@ class TestFindPairs:
 UNCAPPED = sys.maxsize  # a result cap that no search here fills
 
 
-def capped_search(pool, max_side, max_evals=10_000_000, max_results=None):
-    """find_equal_sum_pairs with search.MAX_RESULTS set to max_results for
-    the call, when one is given."""
+def capped_search(pool, max_side, max_evals=None, max_results=None):
+    """find_equal_sum_pairs with search.MAX_EVALS and search.MAX_RESULTS set
+    to max_evals and max_results for the call, where one is given."""
+    evals = search.MAX_EVALS if max_evals is None else max_evals
     cap = search.MAX_RESULTS if max_results is None else max_results
-    with mock.patch.object(search, "MAX_RESULTS", cap):
-        return find_equal_sum_pairs(pool, max_side, max_evals)
+    with mock.patch.object(search, "MAX_EVALS", evals), mock.patch.object(search, "MAX_RESULTS", cap):
+        return find_equal_sum_pairs(pool, max_side)
 
 
 def reference_search(pool, max_side, max_evals=10_000_000, max_results=50_000):
     """The sort-everything join: index every subset up to max_side members,
-    pair every equal-sum bucket, sort all pairs, then cut.  Returns
-    ((left, right, total) triples, subsets enumerated, stopped_by).
+    pair every equal-sum bucket, sort all pairs, then cut.  The first size s
+    that takes the subsets past max_evals is not built, and only pairs of at
+    most s terms are kept.  Returns ((left, right, total) triples, subsets
+    enumerated, stopped_by).
 
     Memoized for the last call: sides past the pool size give the same
     results, and TestLeaveOut asks for them held and streamed in turn."""
@@ -116,18 +122,19 @@ def reference_search(pool, max_side, max_evals=10_000_000, max_results=50_000):
 @functools.lru_cache(maxsize=1)
 def _reference(pool, top, max_evals, max_results):
     members, by_sum, enumerated, stopped_by = pool.members, {}, 0, None
-    sizes = range(1, top + 1)
-    for combo in chain.from_iterable(combinations(range(len(members)), s) for s in sizes):
-        enumerated += 1
-        if enumerated > max_evals:
-            stopped_by = "max_evals"
+    terms = 2 * top  # the most terms a kept pair has
+    for size in range(1, top + 1):
+        if enumerated + comb(len(members), size) > max_evals:
+            stopped_by, terms = "max_evals", size
             break
-        by_sum.setdefault(sum(members[i][1] for i in combo), []).append(combo)
+        for combo in combinations(range(len(members)), size):
+            enumerated += 1
+            by_sum.setdefault(sum(members[i][1] for i in combo), []).append(combo)
     raw = sorted(
         (len(a) + len(b), total, a, b)
         for total, bucket in by_sum.items()
         for a, b in combinations(bucket, 2)
-        if not set(a) & set(b)
+        if not set(a) & set(b) and len(a) + len(b) <= terms
     )
     if len(raw) > max_results:
         raw, stopped_by = raw[:max_results], "max_results"
@@ -191,6 +198,39 @@ class TestAgainstReference:
         exact = assert_matches_reference(pool, 3, max_evals=full.subsets_enumerated)
         assert exact.stopped_by is None and exact.pairs == full.pairs
 
+    @pytest.mark.parametrize("n, max_side", [(7, 3), (9, 4)])
+    def test_eval_cap_at_each_size_total(self, n, max_side):
+        # a cap at a size's cumulative count builds that size; one less stops
+        # before it, keeping the pairs of at most that many terms
+        pool = build_pool(n)
+        full = capped_search(pool, max_side, max_results=UNCAPPED)
+        m, total = len(pool.members), 0
+        for size in range(1, max_side + 1):
+            total += comb(m, size)
+            exact = capped_search(pool, max_side, max_evals=total, max_results=UNCAPPED)
+            short = capped_search(pool, max_side, max_evals=total - 1, max_results=UNCAPPED)
+            assert short.stopped_by == "max_evals"
+            assert short.subsets_enumerated == total - comb(m, size)
+            assert short.pairs == [p for p in full.pairs if len(p.left) + len(p.right) <= size]
+            assert exact.subsets_enumerated == total
+            kept = 2 * max_side if size == max_side else size + 1
+            assert exact.pairs == [p for p in full.pairs if len(p.left) + len(p.right) <= kept]
+            assert exact.stopped_by == (None if size == max_side else "max_evals")
+
+    def test_eval_cap_stops_before_building(self, monkeypatch):
+        # the size that would pass the cap is never built
+        pool = build_pool(12)
+        m, grown = len(pool.members), []
+        original = search._grow
+
+        def spy(indexes, frontier, filtered):
+            grown.append(len(indexes))
+            return original(indexes, frontier, filtered)
+
+        monkeypatch.setattr(search, "_grow", spy)
+        res = capped_search(pool, 8, max_evals=m + comb(m, 2) + comb(m, 3) - 1, max_results=UNCAPPED)
+        assert res.stopped_by == "max_evals" and grown == [1, 2]
+
 
 class TestAgainstReferenceStreamed(TestAgainstReference):
     """The same cases with every top size streamed, not held whole."""
@@ -229,7 +269,7 @@ class TestLeaveOut:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_eval_cap_at_every_size_boundary(self, monkeypatch, n):
-        # a size cut by max_evals is incomplete: never a left-out size
+        # the search stops before the size that would pass the cap
         pool = build_pool(n)
         for max_evals in self.size_boundaries(len(pool.members)):
             self.held_and_streamed(monkeypatch, pool, max_evals=max_evals, max_results=UNCAPPED)
@@ -253,9 +293,8 @@ class TestJoinCanFail:
     """The oracle comparison catches a join that keeps overlapping sides,
     puts the later subset of a same-size pair on the left or sorts a sum's
     pairs the wrong way round, a top-size self-join whose equal-sum groups
-    are not in itertools.combinations order, a rebuilt top - 1 frontier
-    that does not replay a max_evals cut, and a leave-out join that takes
-    its left-out subsets from a size max_evals cut, keeps both orders of a
+    are not in itertools.combinations order, and a leave-out join that takes
+    its left-out subsets from a filtered top size, keeps both orders of a
     self-join pair or takes every y it makes for a pair."""
 
     @staticmethod
@@ -283,35 +322,29 @@ class TestJoinCanFail:
             assert_matches_reference(build_pool(10), 3)
 
     @pytest.mark.parametrize(
-        "name, old, new, n, max_evals",
+        "name, old, new",
         [
-            # C(7, 1) + C(7, 2) = 28, C(10, 1..3) = 175 and C(12, 1..4) = 793
-            # subsets: the next size is then built cut, empty or with one
-            # subset, and a pair leaving out that many members is missed
-            ("_level_sums", "slack < len(indexes) - 1", "slack < len(indexes)", 5, 28),
-            ("_level_sums", "slack < len(indexes) - 1", "slack < len(indexes)", 6, 176),
-            ("_level_sums", "slack < len(indexes) - 1", "slack < len(indexes)", 7, 793),
-            ("_join", " and (left is not right or x & -x < y & -y)", "", 5, 10_000_000),
-            ("_join", "(y := x ^ flip) in wanted", "(y := x ^ flip)", 5, 10_000_000),
+            ("_join", " and (left is not right or x & -x < y & -y)", ""),
+            ("_join", "(y := x ^ flip) in wanted", "(y := x ^ flip)"),
         ],
-        ids=["cut-size-left-out-5", "cut-size-left-out-6", "cut-size-left-out-7", "leave-out-order", "no-membership"],
+        ids=["leave-out-order", "no-membership"],
     )
-    def test_leave_out_mutation_fails_the_oracle(self, monkeypatch, name, old, new, n, max_evals):
-        pool = build_pool(n)
+    def test_leave_out_mutation_fails_the_oracle(self, monkeypatch, name, old, new):
+        pool = build_pool(5)
         self.mutate(monkeypatch, name, old, new)
         with pytest.raises(AssertionError):
-            assert_matches_reference(pool, len(pool.members), max_evals=max_evals, max_results=UNCAPPED)
+            assert_matches_reference(pool, len(pool.members), max_results=UNCAPPED)
 
-    @pytest.mark.parametrize("n, max_side", [(9, 3), (10, 4)])
-    def test_rebuilt_frontier_without_the_cut_fails_the_oracle(self, monkeypatch, n, max_side):
+    @pytest.mark.parametrize("n, max_side", [(4, 2), (5, 3), (6, 4)])
+    def test_filtered_top_size_as_left_out_fails_the_oracle(self, monkeypatch, n, max_side):
+        # 5, 7 and 10 members: at least 2 top + 1, so a level between top + 1
+        # and 2 top - 1 leaves out top members, and the streamed top size is
+        # indexed only at the sums a smaller size has
         pool = build_pool(n)
-        m = len(pool.members)
-        below = sum(comb(m, s) for s in range(1, max_side))
-        full = below + comb(m, max_side)
-        self.mutate(monkeypatch, "_search", "                _cut(frontier, budget)\n", "")
-        for max_evals in (below + 1, (below + full) // 2, full - 1):
-            with pytest.raises(AssertionError):
-                assert_matches_reference(pool, max_side, max_evals=max_evals, max_results=UNCAPPED)
+        assert 2 * max_side + 1 <= len(pool.members) <= 3 * max_side - 1
+        self.mutate(monkeypatch, "_level_sums", "slack < len(indexes) - 1", "slack < len(indexes)")
+        with pytest.raises(AssertionError):
+            assert_matches_reference(pool, max_side, max_results=UNCAPPED)
 
 
 class TestTopSize:
@@ -531,12 +564,14 @@ class TestJoinBudget:
 
 
 class TestBudgets:
-    @pytest.mark.parametrize(
-        "caps", [{"max_side": 0}, {"max_side": -1}, {"max_evals": -1}]
-    )
+    @pytest.mark.parametrize("caps", [{"max_side": 0}, {"max_side": -1}])
     def test_negative_or_empty_budget_rejected(self, caps):
         with pytest.raises(ValueError):
             find_equal_sum_pairs(build_pool(6), **{"max_side": 3, **caps})
+
+    def test_subset_budget_is_a_constant(self):
+        assert search.MAX_EVALS == 10_000_000
+        assert list(inspect.signature(find_equal_sum_pairs).parameters) == ["pool", "max_side"]
 
     def test_readme_example_stops_at_the_result_cap(self):
         # 28 members; 1683217 = C(28,1) + ... + C(28,7): the cap fills at
