@@ -8,7 +8,7 @@ the sweep sizes used here, so big integers are mandatory throughout.
 from functools import lru_cache
 from math import factorial, perm
 
-from .partitions import Partition, make_partition
+from .partitions import Partition, make_partition, second_part_family
 
 # n! for the hook product's numerator, where a sweep values thousands of
 # shapes of each size, and for a closed form's leading factorial, the same
@@ -182,3 +182,24 @@ def fat_hook_value(x: int, y: int, r: int) -> int:
     singularities x + r + 1 = 0 and y + r = 0 are excluded.
     """
     return _evaluate(_fat_hook_spec, x, y, r)
+
+
+def family_degrees(n: int, k: int, same_parity: bool) -> list[tuple[Partition, int]]:
+    """second_part_family(n, k, same_parity) with each member's degree.
+
+    The first member takes a hook product; each next one, (a, k, t) after
+    (a + 2, k, t - 2), is the one before times the three-row closed form's
+    ratio N(a, k, t) (a + 4)(a + 3) / (N(a + 2, k, t - 2) t (t - 1)), N its
+    numerator.  Every step's division must be exact."""
+    walked = []
+    for shape in second_part_family(n, k, same_parity):
+        if walked:
+            a, _, t = shape
+            num = _three_row_spec(a, k, t)[1] * (a + 4) * (a + 3)
+            value, rem = divmod(value * num, _three_row_spec(a + 2, k, t - 2)[1] * t * (t - 1))
+            if rem:
+                raise ArithmeticError(f"inexact three-row ratio at {shape}")
+        else:
+            value = degree(shape)
+        walked.append((shape, value))
+    return walked

@@ -9,7 +9,7 @@ tolerances anywhere.
 from collections import namedtuple
 from math import isqrt
 
-from .degrees import degree, fat_hook_value, three_row_value
+from .degrees import degree, family_degrees, fat_hook_value, three_row_value
 from .partitions import (
     Partition,
     add_rim_hooks,
@@ -18,7 +18,6 @@ from .partitions import (
     pad,
     partitions,
     rim_hook_count,
-    second_part_family,
     square_two_tail_partitions,
     straighten,
     third_parts,
@@ -94,15 +93,17 @@ MAX_ANALYTIC_TERMS = 20_000
 # VM 1.2 s at (d, k, m) = (197, 3, 788) (1.25e10), 2.0 s at (197, 100, 900)
 # (2.41e10) and 13 s at (197, 500, 2000) (1.79e11).  Through the CLI,
 # verify_ladder takes 1.4-1.9 s at (100, 650, 650) (2.0e10) and 0.6 s at
-# (0, 2, 99 990); at (n, k), knapsack 1.8 s at (5000, 796) and 1.4 s at
-# (10 000, 196), expansion 1.4 s at (6000, 550) and branch 1.8 s at (4000, 600)
+# (0, 2, 99 990); at (n, k), knapsack 0.1 s at (5000, 796) and (10 000, 196),
+# expansion 0.5 s at (6000, 550) and branch 0.1 s at (4000, 600): their
+# families are walked from one hook product each (degrees.family_degrees)
 MAX_ANALYTIC_WORK = 20_000_000_000
 
 # the knapsack sweeps, verify_knapsack_sweep and verify_riordan, and the scan
-# at n = 2k + m value every three-part partition of n: about n^2/12 hook
-# products of n cells (riordan only the quarter whose parts share n's parity).
-# At n = 500 the sweeps take 0.5 s (riordan) and 0.85 s (knapsack) through
-# the CLI with --format json on a 2-core VM; at n = 800, 1.5 s and 4.4 s
+# at n = 2k + m value every three-part partition of n, about n^2/12 shapes of
+# n cells: the scan by hook products, the sweeps by walking each family from
+# one (riordan's total, the quarter whose parts share n's parity, by hook
+# products).  At n = 500 the sweeps take 0.5 s each through the CLI with
+# --format json on a 2-core VM; at n = 800, 1.4 s (riordan), 1.3 s (knapsack)
 MAX_SWEEP_N = 500
 
 # verify_catalan_pair values the partitions of 2m - 2 into at most four
@@ -223,7 +224,7 @@ def _knapsack_eq(n: int, k: int, eq: int) -> Report:
     return Report(
         id=f"knapsack-eq{eq}",
         params={"n": n, "k": k},
-        terms=_partition_terms("L", second_part_family(n, k, same)) + _fat_hook_terms("R", hooks),
+        terms=[Term("L", 1, p, value) for p, value in family_degrees(n, k, same)] + _fat_hook_terms("R", hooks),
         regime="swapped" if swap else "standard",
         note=f"left side: {'same' if same else 'opposite'}-parity family",
         lhs_pad=3,
@@ -397,7 +398,7 @@ def verify_expansion(n: int, k: int) -> Report:
         regime="outside validity regime" if swapped(n, k) else "standard",
         extra={"analytic_term_sum": analytic_sum},
     )
-    x1_sum = sum(degree(p) for p in second_part_family(n, k, True))
+    x1_sum = sum(value for _, value in family_degrees(n, k, True))
     report.checks["non-partition values cancel"] = analytic_sum == 0
     report.checks["matches same-parity family sum"] = x1_sum == report.lhs
     return report
@@ -476,12 +477,12 @@ def verify_branch_rows(n: int, k: int, same_parity: bool) -> Report:
     if not size:
         raise ValueError(f"empty family for (n, k) = {(n, k)}")
     _check_work(f"branch n={n} k={k}", 4 * size, n)
-    family = second_part_family(n, k, same_parity)
-    terms = _partition_terms("L", family)
+    family = family_degrees(n, k, same_parity)
+    terms = [Term("L", 1, p, value) for p, value in family]
     rows_detail = []
     for row in (1, 2, 3):
         obtained = []
-        for p in family:
+        for p, _ in family:
             entry = list(pad(p, 3))
             entry[row - 1] -= 1
             if entry[row - 1] < 0 or not entry[0] >= entry[1] >= entry[2]:
@@ -489,7 +490,8 @@ def verify_branch_rows(n: int, k: int, same_parity: bool) -> Report:
             obtained.append(make_partition(entry))
         k2 = k - 1 if row == 2 else k
         same2 = same_parity if row == 1 else not same_parity
-        target = second_part_family(n - 1, k2, same2) if k2 >= 0 else []
+        walked = family_degrees(n - 1, k2, same2) if k2 >= 0 else []
+        target = [p for p, _ in walked]
         obtained_set = set(obtained)
         target_set = set(target)
         stray = [p for p in obtained if p not in target_set]
@@ -507,7 +509,7 @@ def verify_branch_rows(n: int, k: int, same_parity: bool) -> Report:
                 "missing": missing,
             }
         )
-        terms += _partition_terms("R", target)
+        terms += [Term("R", 1, p, value) for p, value in walked]
         terms += _partition_terms("R", missing, sign=-1)
     report = Report(
         id="branch",

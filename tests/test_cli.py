@@ -174,7 +174,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(identities, "MAX_ANALYTIC_WORK", work - 1)
         monkeypatch.setattr(identities, "degree", never)
         monkeypatch.setattr(identities, "partitions", never)
-        monkeypatch.setattr(identities, "second_part_family", never)
+        monkeypatch.setattr(identities, "family_degrees", never)
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err == f"error: {subject} terms of size n=20: work {work}; the limit is {work - 1}\n"
@@ -198,6 +198,7 @@ class TestVerifyCommand:
             raise AssertionError("the knapsack sweep ran past its budget")
 
         monkeypatch.setattr(identities, "degree", never)
+        monkeypatch.setattr(identities, "family_degrees", never)
         code, out, err = run_cli(capsys, "verify", "--id", family, "--n", str(n), "--format", "json")
         assert code == 2 and out == ""
         assert err == f"error: knapsack sweep n={n} is over budget; the limit is n={identities.MAX_SWEEP_N}\n"

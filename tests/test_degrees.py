@@ -14,7 +14,7 @@ from sytknap.degrees import (
     syt_enumerate,
     three_row_value,
 )
-from sytknap.partitions import conjugate, fat_hook, hook_lengths, partitions
+from sytknap.partitions import conjugate, fat_hook, hook_lengths, partitions, second_part_family
 
 
 def assert_hook_formula(p):
@@ -228,6 +228,52 @@ class TestHookProductCanFail:
             assert self.disagrees((r, s, t), degree_three_row(r, s, t))
         for a, b, t in [(2, 2, 1), (30, 12, 40), (60, 60, 120)]:
             assert self.disagrees(fat_hook(a, b, t), degree_fat_hook(a, b, t))
+
+
+class TestFamilyDegrees:
+    """The walk down a fixed-second-part family: one hook product, then an
+    exact three-row ratio per member."""
+
+    @staticmethod
+    def assert_walk(n, k, same):
+        walked = degrees.family_degrees(n, k, same)
+        assert [s for s, _ in walked] == second_part_family(n, k, same)
+        for shape, value in walked:
+            assert value == degree_uncached(shape), (n, k, same, shape)
+
+    def test_every_family_to_150(self):
+        for n in range(151):
+            for k in range(n // 2 + 1):
+                for same in (True, False):
+                    self.assert_walk(n, k, same)
+
+    @pytest.mark.parametrize("n, k", [(5000, 796), (10000, 196)])
+    def test_budget_edges(self, n, k):
+        for same in (True, False):
+            self.assert_walk(n, k, same)
+
+    def test_one_hook_product_per_family(self, monkeypatch):
+        seeds = []
+
+        def spy(p):
+            seeds.append(p)
+            return degree(p)
+
+        monkeypatch.setattr(degrees, "degree", spy)
+        for n, k, same in [(20, 4, True), (20, 4, False), (32, 11, True), (7, 0, True), (0, 0, True), (4, 1, True)]:
+            seeds.clear()
+            walked = degrees.family_degrees(n, k, same)
+            assert walked and seeds == [walked[0][0]], (n, k, same)
+        for n, k, same in [(20, 10, False), (7, 0, False), (0, 0, False), (4, 2, False)]:
+            seeds.clear()
+            assert degrees.family_degrees(n, k, same) == [] and seeds == [], (n, k, same)
+
+    def test_inexact_step_names_the_shape(self, monkeypatch):
+        # (16, 4) seeded at 1 instead of 3 705: the step to (14, 4, 2) is
+        # 1 * 462 * 18 * 17 / (1170 * 2 * 1), not an integer
+        monkeypatch.setattr(degrees, "degree", lambda p: 1)
+        with pytest.raises(ArithmeticError, match=r"^inexact three-row ratio at \(14, 4, 2\)$"):
+            degrees.family_degrees(20, 4, True)
 
 
 class TestClosedForms:

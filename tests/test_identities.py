@@ -4,8 +4,8 @@ from decimal import Decimal
 import pytest
 
 from conftest import assert_report_json
-from sytknap import identities, paths
-from sytknap.degrees import degree
+from sytknap import degrees, identities, paths
+from sytknap.degrees import degree, three_row_value
 from sytknap.identities import (
     Report,
     Term,
@@ -23,7 +23,7 @@ from sytknap.identities import (
     verify_ladder,
     verify_riordan,
 )
-from sytknap.partitions import MAX_RIM_HOOK_CELLS, make_partition, partitions, straighten
+from sytknap.partitions import MAX_RIM_HOOK_CELLS, make_partition, pad, partitions, straighten, third_parts
 from sytknap.paths import PathKind, count_paths
 
 
@@ -102,6 +102,7 @@ class TestSweepBudget:
         monkeypatch.setattr(identities, "MAX_SWEEP_N", 12)
         assert all(r.passed for r in sweep(12))
         monkeypatch.setattr(identities, "degree", _never)
+        monkeypatch.setattr(identities, "family_degrees", _never)
         monkeypatch.setattr(identities, "count_paths", _never)
         with pytest.raises(ValueError, match="^knapsack sweep n=13 is over budget; the limit is n=12$"):
             sweep(13)
@@ -110,6 +111,7 @@ class TestSweepBudget:
     def test_default_budget(self, sweep, monkeypatch):
         n = identities.MAX_SWEEP_N + 1
         monkeypatch.setattr(identities, "degree", _never)
+        monkeypatch.setattr(identities, "family_degrees", _never)
         monkeypatch.setattr(identities, "count_paths", _never)
         with pytest.raises(ValueError, match=f"^knapsack sweep n={n} is over budget;"):
             sweep(n)
@@ -252,7 +254,7 @@ class TestWorkBudget:
 
     @staticmethod
     def refuse_terms(monkeypatch):
-        for name in ("degree", "partitions", "second_part_family", "fat_hook_value", "three_row_value"):
+        for name in ("degree", "partitions", "family_degrees", "fat_hook_value", "three_row_value"):
             monkeypatch.setattr(identities, name, _never_built)
 
     def test_knapsack(self, monkeypatch):
@@ -535,6 +537,78 @@ class TestLadderVerifiersCanFail:
         assert not verify(*args).passed
 
 
+def _other_parity_start(p):
+    """The degree of the first member of the other-parity family: (a, k, t)
+    moved to third part 1 - t, valued by the closed form, which is zero
+    where that is not a shape."""
+    a, k, t = pad(p, 3)
+    return three_row_value(a + 2 * t - 1, k, 1 - t)
+
+
+def _caught(call):
+    """A mutated walk is caught by a failing report or by its own
+    exact-division check."""
+    try:
+        return not all(r.passed for r in call())
+    except ArithmeticError:
+        return True
+
+
+# mutations of degrees.family_degrees through the names it looks up: the
+# name, its replacement built from the original, and the fewest members a
+# family needs for the mutation to move it
+WALK_MUTANTS = {
+    "ratio-up": ("_three_row_spec", lambda spec: lambda x, y, z: spec(x + 1, y, z), 2),
+    "ratio-down": ("_three_row_spec", lambda spec: lambda x, y, z: spec(x - 1, y, z), 2),
+    "wrong-parity-start": ("degree", lambda degree: _other_parity_start, 1),
+    "doubled-start": ("degree", lambda degree: lambda p: 2 * degree(p), 1),
+}
+
+
+def _mutate_walk(monkeypatch, mutant):
+    name, replace, _ = WALK_MUTANTS[mutant]
+    monkeypatch.setattr(degrees, name, replace(getattr(degrees, name)))
+
+
+class TestFamilyWalkCanFail:
+    """verify_knapsack, verify_expansion, verify_branch_rows and
+    verify_riordan's per-k reports value their families by
+    degrees.family_degrees; each mutation of the walk must be caught."""
+
+    @pytest.mark.parametrize("mutant", WALK_MUTANTS)
+    def test_every_knapsack_family(self, monkeypatch, mutant):
+        # the wrong-parity start is caught from n = 6: at (4, 1) and (5, 2)
+        # the two starts have equal degrees
+        _mutate_walk(monkeypatch, mutant)
+        members = WALK_MUTANTS[mutant][2]
+        for n in range(6, 41):
+            for k in range(n // 2 + 1):
+                for eq in (1, 2):
+                    same = (eq == 1) != swapped(n, k)
+                    if len(third_parts(n, k, same)) >= members:
+                        assert _caught(lambda: [identities._knapsack_eq(n, k, eq)]), (n, k, eq)
+
+    def test_expansion_and_branch(self, monkeypatch):
+        _mutate_walk(monkeypatch, "ratio-up")
+        assert _caught(lambda: [verify_expansion(30, 6)])
+        assert _caught(lambda: [verify_branch_rows(24, 9, True)])
+        monkeypatch.undo()
+        _mutate_walk(monkeypatch, "doubled-start")
+        rep = verify_expansion(30, 6)
+        assert rep.checks == {"non-partition values cancel": True, "matches same-parity family sum": False}
+        assert not verify_branch_rows(24, 9, True).passed
+
+    def test_riordan_per_k_refinement(self, monkeypatch):
+        # the total values its family by hook products, so a doubled walk
+        # fails every per-k report and the resum check, and nothing else
+        assert all(r.passed for r in verify_riordan(20))
+        _mutate_walk(monkeypatch, "doubled-start")
+        *per_k, total = verify_riordan(20)
+        assert per_k and not any(r.passed for r in per_k)
+        assert total.checks == {"matches riordan count": True, "per-k refinement resums": False}
+        assert total.lhs == total.rhs == total.extra["riordan"]
+
+
 class TestExpansion:
     def test_n13_k5_vanishing_term(self):
         rep = verify_expansion(13, 5)
@@ -706,7 +780,7 @@ class TestBranchRows:
         def never(*args):
             raise AssertionError("a family was built")
 
-        monkeypatch.setattr(identities, "second_part_family", never)
+        monkeypatch.setattr(identities, "family_degrees", never)
         for k in (0, 1):
             with pytest.raises(ValueError, match=rf"^need n >= 1, got n={n}$"):
                 verify_branch_rows(n, k, True)
