@@ -14,7 +14,30 @@ from .identities import Report, Term, _check_sweep, _ladder_args, _ladder_lead, 
 from .partitions import Partition, fat_hook, format_shape, partitions
 
 
-POOL_FAMILIES = ("3part", "fathook", "rows4")
+def _fat_hooks(n):
+    # b = k >= 1 and the tail t >= 0, so every triple is a shape
+    yield from (fat_hook(k, k, n - 2 * k) for k in range(1, n // 2 + 1))
+    yield from (fat_hook(k + 1, k, n - 2 * k - 1) for k in range(1, (n - 1) // 2 + 1))
+
+
+# family -> (how many shapes of n it has, counted without listing them;
+# its shapes of n)
+POOL_FAMILIES = {
+    "3part": (lambda n: (n * n + 6 * n + 12) // 12, lambda n: partitions(n, 3)),
+    "fathook": (lambda n: n // 2 + (n - 1) // 2, _fat_hooks),
+    "rows4": (
+        lambda n: ((n + 4) ** 3 + 3 * (n + 4) ** 2 - 9 * (n + 4) * (n % 2) + 72) // 144,
+        lambda n: partitions(n, 4),
+    ),
+}
+
+# The members a pool may have.  The sum of its families' counts, an upper
+# bound on the deduplicated pool, is checked before any shape is listed.
+# Member j's bit is an int of about j / 8 bytes, so m members' bits take
+# about m^2 / 16 bytes, and a search that indexes its size-1 subsets holds
+# them twice.  At this many, rows4 at n = 216 peaks at 404 MB through the
+# CLI at side 1 and 779 MB at the default side, in 2 s (2-core VM).
+MAX_POOL_MEMBERS = 75_000
 
 
 @dataclass(frozen=True)
@@ -31,21 +54,21 @@ def build_pool(n: int, families=("3part", "fathook")) -> Pool:
     3part: all partitions with at most three parts.
     fathook: the hooks (k, k, 1^t) and (k+1, k, 1^t).
     rows4: all partitions with at most four parts.
+
+    A pool is refused before any shape is listed when n is past the
+    knapsack sweeps' MAX_SWEEP_N (a search labels its pairs from a sweep
+    at n), or when its families' counts sum past MAX_POOL_MEMBERS.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    shapes: set[Partition] = set()
     for family in families:
-        if family == "3part":
-            shapes.update(partitions(n, 3))
-        elif family == "fathook":
-            # b = k >= 1 and the tail t >= 0, so every triple is a shape
-            shapes.update(fat_hook(k, k, n - 2 * k) for k in range(1, n // 2 + 1))
-            shapes.update(fat_hook(k + 1, k, n - 2 * k - 1) for k in range(1, (n - 1) // 2 + 1))
-        elif family == "rows4":
-            shapes.update(partitions(n, 4))
-        else:
+        if family not in POOL_FAMILIES:
             raise ValueError(f"unknown pool family {family!r}")
+    _check_sweep(n, "search pool")
+    count = sum(POOL_FAMILIES[family][0](n) for family in families)
+    if count > MAX_POOL_MEMBERS:
+        raise ValueError(f"search pool n={n} has up to {count} members; the limit is {MAX_POOL_MEMBERS}")
+    shapes = set().union(*(POOL_FAMILIES[family][1](n) for family in families))
     members = tuple(sorted(((s, degree(s)) for s in shapes), reverse=True))
     return Pool(n, members)
 
@@ -201,15 +224,13 @@ def _search(pool, max_side):
     whole = sum(value for _, value in members)
     top = min(max_side, m)
     streamed = comb(m, top) > MAX_HELD_TOP_SUBSETS
-    # tails[i]: (value, bit, index) of members i, i + 1, ...: what a subset
-    # whose last member is i - 1 grows by, in itertools.combinations order;
-    # every tail is a slice of one list, so each member's item is built once
-    items = [(value, 1 << j, j) for j, (_, value) in enumerate(members)]
-    tails = [items[i:] for i in range(m + 1)]
+    # (value, bit) of each member; a subset grows, in itertools.combinations
+    # order, by the members after its highest, items[mask.bit_length():]
+    items = [(value, 1 << j) for j, (_, value) in enumerate(members)]
     indexes: list[dict[int, list[int]]] = [{0: [0]}]  # indexes[s]: sum -> size-s bitmasks
-    # (sum, bitmask, tail) of each subset one smaller than the largest
-    # indexed; two smaller once a streamed top size is indexed
-    frontier = [(0, 0, tails[0])]
+    # (sum, bitmask) of each subset one smaller than the largest indexed;
+    # two smaller once a streamed top size is indexed
+    frontier = [(0, 0)]
     enumerated = 0
     comparisons = 0
     stopped_by = None
@@ -223,17 +244,17 @@ def _search(pool, max_side):
                 break
             enumerated += count
             filtered = streamed and len(indexes) == top
-            grown = _extend(frontier, tails) if len(indexes) > 1 else frontier
+            grown = _extend(frontier, items) if len(indexes) > 1 else frontier
             if not filtered:
                 frontier = grown
-            _grow(indexes, grown, filtered)
+            _grow(indexes, grown, items, filtered)
             del grown
         if streamed and t == 2 * top:
             indexes.clear()  # the streamed self-join reads only the frontier
             # rebuild the size top - 1 frontier; at top = 1 it is the size-0 one
             if top > 1:
-                frontier = _extend(frontier, tails)
-            sums = _self_join_sums(frontier)
+                frontier = _extend(frontier, items)
+            sums = _self_join_sums(frontier, items)
         else:
             sums = _level_sums(indexes, t, m - t, whole)
         for total, cost, buckets, leftout in sums:
@@ -255,12 +276,12 @@ def _search(pool, max_side):
     return pairs, enumerated, stopped_by
 
 
-def _extend(frontier, tails):
+def _extend(frontier, items):
     """The frontier one member larger, in itertools.combinations order."""
-    return [(total + v, mask | b, tails[j + 1]) for total, mask, tail in frontier for v, b, j in tail]
+    return [(total + v, mask | b) for total, mask in frontier for v, b in items[mask.bit_length():]]
 
 
-def _grow(indexes, frontier, filtered):
+def _grow(indexes, frontier, items, filtered):
     """Append to indexes the sum index of the subsets one member larger than
     the frontier's, in itertools.combinations order.  A filtered index keeps
     only the sums a smaller size has: all that levels top + 1 ... 2 top - 1
@@ -268,28 +289,29 @@ def _grow(indexes, frontier, filtered):
     wanted = set().union(*indexes[1:]) if filtered else None
     index = defaultdict(list)
     indexes.append(index)
-    for total, mask, tail in frontier:
+    for total, mask in frontier:
         if wanted is None:
-            for v, b, _ in tail:
+            for v, b in items[mask.bit_length():]:
                 index[total + v].append(mask | b)
         else:
-            for v, b, _ in tail:
+            for v, b in items[mask.bit_length():]:
                 if total + v in wanted:
                     index[total + v].append(mask | b)
 
 
-def _self_join_sums(frontier):
+def _self_join_sums(frontier, items):
     """The self-join of the subsets the frontier grows into, as _level_sums
-    yields it, without indexing them: a heap merges each frontier entry's
-    tail, sorted by value, so the subsets come in ascending sum order, and
-    equal sums in itertools.combinations order (frontier position, then
-    member index)."""
-    ordered = {}  # id(tail) -> (value, bit) sorted: once per shared tail
+    yields it, without indexing them: a heap merges, for each frontier
+    entry, the members after its highest, sorted by value, so the subsets
+    come in ascending sum order, and equal sums in itertools.combinations
+    order (frontier position, then member index)."""
+    ordered = {}  # start index -> items[start:] sorted: once per start
     runs = []
-    for total, mask, tail in frontier:
-        run = ordered.get(id(tail))
+    for total, mask in frontier:
+        start = mask.bit_length()
+        run = ordered.get(start)
         if run is None:
-            run = ordered[id(tail)] = sorted((v, b) for v, b, _ in tail)
+            run = ordered[start] = sorted(items[start:])
         runs.append((total, mask, run))
     heap = [(total + run[0][0], pos, 0) for pos, (total, _, run) in enumerate(runs) if run]
     heapify(heap)

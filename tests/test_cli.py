@@ -443,6 +443,24 @@ class TestSearchCommand:
         _, err = capsys.readouterr()
         assert "unrecognized arguments: --max-evals 5" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "2000", "--max-side", "1"), "search pool n=2000 is over budget; the limit is n=500"),
+            (("--n", "1000000000",), "search pool n=1000000000 is over budget; the limit is n=500"),
+            (("--n", "217", "--pool", "rows4"), "search pool n=217 has up to 75961 members; the limit is 75000"),
+        ],
+        ids=["wide", "huge", "rows4"],
+    )
+    def test_pool_over_budget_is_usage_error(self, capsys, monkeypatch, argv, message):
+        def never(*args):
+            raise AssertionError("the pool was listed")
+
+        for name in ("partitions", "fat_hook", "degree"):
+            monkeypatch.setattr(search, name, never)
+        code, out, err = run_cli(capsys, "search", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 def _old_json(payload) -> str:
     """What --format json printed when the whole payload was one json.dumps."""

@@ -43,6 +43,71 @@ class TestPool:
         with pytest.raises(ValueError):
             build_pool(6, ("5part",))
 
+    @pytest.mark.parametrize("family", sorted(search.POOL_FAMILIES))
+    def test_family_counts_match_the_listing(self, family):
+        count, shapes = search.POOL_FAMILIES[family]
+        for n in range(1, 120):
+            assert count(n) == len(set(shapes(n)))
+
+
+class TestPoolBudget:
+    """A pool is counted before it is listed: past MAX_POOL_MEMBERS, or past
+    the sweep size its labels take, it is refused before any shape or
+    degree is computed."""
+
+    @pytest.fixture
+    def unlisted(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the pool was listed")
+
+        for name in ("partitions", "fat_hook", "degree"):
+            monkeypatch.setattr(search, name, never)
+
+    @staticmethod
+    def largest_accepted(families):
+        """The largest n whose families' counts sum to at most MAX_POOL_MEMBERS."""
+        n = 1
+        while sum(search.POOL_FAMILIES[f][0](n + 1) for f in families) <= search.MAX_POOL_MEMBERS:
+            n += 1
+        return n
+
+    @pytest.mark.parametrize("families", [("rows4",), ("rows4", "fathook"), ("3part", "rows4")])
+    def test_members_at_the_limit(self, unlisted, families):
+        n = self.largest_accepted(families)
+        with pytest.raises(AssertionError, match="listed"):
+            build_pool(n, families)
+        count = sum(search.POOL_FAMILIES[f][0](n + 1) for f in families)
+        message = f"search pool n={n + 1} has up to {count} members; the limit is {search.MAX_POOL_MEMBERS}"
+        with pytest.raises(ValueError) as refused:
+            build_pool(n + 1, families)
+        assert str(refused.value) == message
+
+    def test_members_at_an_exact_limit(self, unlisted, monkeypatch):
+        # rows4 at n = 40 counts 632 shapes
+        monkeypatch.setattr(search, "MAX_POOL_MEMBERS", 632)
+        with pytest.raises(AssertionError, match="listed"):
+            build_pool(40, ("rows4",))
+        monkeypatch.setattr(search, "MAX_POOL_MEMBERS", 631)
+        with pytest.raises(ValueError, match="^search pool n=40 has up to 632 members; the limit is 631$"):
+            build_pool(40, ("rows4",))
+
+    def test_size_at_the_sweep_limit(self, unlisted):
+        # a search labels its pairs from the knapsack sweep at the pool's n
+        for families in [("fathook",), ("3part", "fathook")]:
+            with pytest.raises(AssertionError, match="listed"):
+                build_pool(identities.MAX_SWEEP_N, families)
+            with pytest.raises(ValueError, match="^search pool n=501 is over budget; the limit is n=500$"):
+                build_pool(identities.MAX_SWEEP_N + 1, families)
+
+    def test_accepted_pools_stay_inside_the_hook_product_budget(self):
+        # every accepted pool takes at most MAX_ANALYTIC_WORK hook-product
+        # work, members x n^2, so build_pool needs no check of its own for it
+        names = sorted(search.POOL_FAMILIES)
+        for families in chain.from_iterable(combinations(names, r) for r in range(1, len(names) + 1)):
+            for n in range(1, identities.MAX_SWEEP_N + 1):
+                count = sum(search.POOL_FAMILIES[f][0](n) for f in families)
+                assert count > search.MAX_POOL_MEMBERS or count * n * n <= identities.MAX_ANALYTIC_WORK
+
 
 class TestFindPairs:
     def test_rediscovers_n4_instance(self):
@@ -223,9 +288,9 @@ class TestAgainstReference:
         m, grown = len(pool.members), []
         original = search._grow
 
-        def spy(indexes, frontier, filtered):
+        def spy(indexes, *rest):
             grown.append(len(indexes))
-            return original(indexes, frontier, filtered)
+            return original(indexes, *rest)
 
         monkeypatch.setattr(search, "_grow", spy)
         res = capped_search(pool, 8, max_evals=m + comb(m, 2) + comb(m, 3) - 1, max_results=UNCAPPED)
@@ -371,9 +436,9 @@ class TestTopSize:
         held = find_equal_sum_pairs(pool, 4)
         original, streams = search._self_join_sums, []
 
-        def spy(frontier):
+        def spy(frontier, *rest):
             streams.append(len(frontier))
-            return original(frontier)
+            return original(frontier, *rest)
 
         monkeypatch.setattr(search, "_self_join_sums", spy)
         monkeypatch.setattr(search, "MAX_HELD_TOP_SUBSETS", 10626)
@@ -440,19 +505,36 @@ class TestTopSize:
     def test_top_size_is_never_indexed_whole(self):
         # n = 20, side 4: holding the 521 855 size-4 subsets peaked near
         # 95 MB; the filtered index and the streamed self-join near 39 MB
-        # (51 MB with a tails list per member and the top - 1 frontier held)
+        # (51 MB with a list of later members per member and the top - 1
+        # frontier held)
         assert self.fresh_peak_mb(20, 4) < 75
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_wide_pool_peak(self):
-        # build_pool(100) has 981 members: shared tail slices and no held
-        # top - 1 frontier take side 2 from 153 MB to 53 MB
-        assert self.fresh_peak_mb(100, 2) < 100
+        # build_pool(100) has 981 members: no held top - 1 frontier took side
+        # 2 from 153 MB to 53 MB, and growing each subset by the members
+        # after its highest bit, with no list of later members per member,
+        # to 20 MB
+        assert self.fresh_peak_mb(100, 2) < 40
+
+    def test_wide_pool_traced_peak(self):
+        # build_pool(300) has 7 948 members.  Side 1 allocates about 11 MB:
+        # the members' bits, about m^2 / 16 bytes, and one sorted run of
+        # them; a list of later members per member took about 265 MB
+        pool = build_pool(300)
+        tracemalloc.start()
+        try:
+            find_equal_sum_pairs(pool, max_side=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < 30
 
     def test_traced_peak(self):
         # the n = 20 side-4 search allocates at most 24 MB at once in Python
         # objects: about 21 MB, where holding the top - 1 frontier, an index
-        # tuple per side and a tuple per (tail, member) took about 33 MB
+        # tuple per side and a tuple for each member of each member's list of
+        # later members took about 33 MB
         pool = build_pool(20)
         tracemalloc.start()
         try:
